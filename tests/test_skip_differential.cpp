@@ -5,9 +5,18 @@
  * including histogram buckets — to the reference cycle-by-cycle loop.
  * Covers the full standard campaign (all six configurations) plus
  * targeted feature combinations, and validates the nextEventCycle()
- * contract against the reference loop directly.
+ * contract against the reference loop directly. The campaign's
+ * reference results are also pinned to committed digests, which catch
+ * what the skip-vs-reference comparison cannot: a change inside code
+ * both loops share.
  */
+#include <cstdint>
+#include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <map>
+#include <sstream>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -73,9 +82,91 @@ expectIdentical(const SimConfig &config, const Trace &trace,
         << "workload " << trace.name() << ", config " << config.label;
 }
 
+/** FNV-1a 64 of the lossless campaign-text form of `result`. */
+std::uint64_t
+resultDigest(const SimResult &result)
+{
+    std::ostringstream os;
+    writeSimResultText(os, result);
+    std::uint64_t hash = 0xcbf29ce484222325ULL;
+    for (const char c : os.str()) {
+        hash ^= static_cast<unsigned char>(c);
+        hash *= 0x100000001b3ULL;
+    }
+    return hash;
+}
+
+/** "<workload> <config>" -> digest, from the committed digest file. */
+std::map<std::string, std::uint64_t>
+loadDigests(const std::string &path)
+{
+    std::map<std::string, std::uint64_t> digests;
+    std::ifstream in(path);
+    std::string line;
+    while (std::getline(in, line)) {
+        if (line.empty() || line[0] == '#')
+            continue;
+        std::istringstream fields(line);
+        std::string workload, config, hex;
+        fields >> workload >> config >> hex;
+        digests[workload + " " + config] = std::stoull(hex, nullptr, 16);
+    }
+    return digests;
+}
+
+// The skip loop and the reference loop share Backend, Cache and
+// CircularBuffer, so the comparison below cannot see a change inside
+// them. Every reference result is therefore also checked against
+// tests/data/campaign_ref_digests.txt. On a mismatch the digests this
+// build computed are written to campaign_ref_digests.actual.txt in the
+// working directory; copy that file over the committed one only when
+// the change in simulated behaviour is intended.
+void
+expectPinnedDigests(const CampaignResult &ref)
+{
+    const std::map<std::string, std::uint64_t> expected =
+        loadDigests(SIPRE_TEST_DATA_DIR "/campaign_ref_digests.txt");
+    const std::pair<const char *, SimResult WorkloadRecord::*> configs[] = {
+        {"cons", &WorkloadRecord::cons},
+        {"industry", &WorkloadRecord::industry},
+        {"asmdb_cons", &WorkloadRecord::asmdb_cons},
+        {"asmdb_cons_ideal", &WorkloadRecord::asmdb_cons_ideal},
+        {"asmdb_ind", &WorkloadRecord::asmdb_ind},
+        {"asmdb_ind_ideal", &WorkloadRecord::asmdb_ind_ideal},
+    };
+    std::ostringstream actual;
+    bool mismatch = false;
+    for (const WorkloadRecord &record : ref.workloads) {
+        for (const auto &[config, member] : configs) {
+            const std::string key = record.name + " " + config;
+            const std::uint64_t digest = resultDigest(record.*member);
+            char hex[17];
+            std::snprintf(hex, sizeof(hex), "%016llx",
+                          static_cast<unsigned long long>(digest));
+            actual << key << " " << hex << "\n";
+            const auto it = expected.find(key);
+            if (it == expected.end() || it->second != digest) {
+                mismatch = true;
+                ADD_FAILURE() << "workload " << record.name << ", config "
+                              << config << ": simulated result "
+                              << (it == expected.end() ? "has no digest"
+                                                       : "changed");
+            }
+        }
+    }
+    EXPECT_EQ(expected.size(), ref.workloads.size() * std::size(configs))
+        << "the digest file pins a different campaign";
+    if (mismatch) {
+        std::ofstream("campaign_ref_digests.actual.txt") << actual.str();
+        ADD_FAILURE() << "computed digests written to "
+                         "campaign_ref_digests.actual.txt";
+    }
+}
+
 // The headline guarantee: the whole standard campaign — all 48 synth
 // workloads through all six configurations, including the AsmDB
-// pipeline's profiling runs — is unchanged by fast-forwarding.
+// pipeline's profiling runs — is unchanged by fast-forwarding, and the
+// reference results match their pinned digests.
 TEST_F(SkipDifferential, StandardCampaignAllConfigsBitIdentical)
 {
     CampaignOptions options;
@@ -110,6 +201,7 @@ TEST_F(SkipDifferential, StandardCampaignAllConfigsBitIdentical)
         EXPECT_EQ(a.plan_min_distance_ind, b.plan_min_distance_ind)
             << a.name;
     }
+    expectPinnedDigests(ref);
 }
 
 // The incremental FTQ counters (unready entries, uncounted fetch-done
