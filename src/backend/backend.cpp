@@ -1,6 +1,7 @@
 #include "backend/backend.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "util/logging.hpp"
 
@@ -10,19 +11,19 @@ namespace sipre
 Backend::Backend(const BackendConfig &config, const Trace &trace,
                  MemoryHierarchy &memory, DecodeQueue &decode_queue)
     : config_(config), trace_(trace), memory_(memory),
-      decode_queue_(decode_queue), rob_(config.rob_size)
+      decode_queue_(decode_queue)
 {
+    SIPRE_ASSERT(config.rob_size > 0, "Backend needs rob_size > 0");
     producers_.fill(kNoProducer);
 
-    std::uint32_t slots = 1;
-    while (slots < config.rob_size)
-        slots <<= 1;
+    const std::uint32_t slots = std::bit_ceil(config.rob_size);
     slot_mask_ = slots - 1;
     slot_state_.assign(slots, static_cast<std::uint8_t>(State::kDone));
     slot_deps_.assign(slots, 0);
     slot_trace_index_.assign(slots, 0);
     waiter_head_.assign(slots, kNilWaiter);
     waiter_next_.assign(std::size_t{slots} * 2, kNilWaiter);
+    ready_bits_.assign((slots + 63) / 64, 0);
 }
 
 Cycle
@@ -64,8 +65,11 @@ Backend::markDone(std::uint64_t seq, Cycle now)
     while (node != kNilWaiter) {
         const std::uint32_t next = waiter_next_[node];
         waiter_next_[node] = kNilWaiter;
-        if (--slot_deps_[node >> 1] == 0)
+        const std::uint32_t consumer = node >> 1;
+        if (--slot_deps_[consumer] == 0) {
+            setReady(consumer);
             ++ready_count_;
+        }
         node = next;
     }
 
@@ -82,9 +86,9 @@ Backend::tick(Cycle now)
     issue(now);
     dispatch(now);
 
-    if (rob_.empty())
+    if (robEmpty())
         ++stats_.empty_rob_cycles;
-    if (rob_.full())
+    if (robFull())
         ++stats_.rob_full_cycles;
 }
 
@@ -92,14 +96,14 @@ Cycle
 Backend::nextEventCycle(Cycle now) const
 {
     // Retirement: a completed head retires next cycle.
-    if (!rob_.empty() &&
-        slot_state_[slotOf(rob_.front().seq)] ==
+    if (!robEmpty() &&
+        slot_state_[slotOf(head_seq_)] ==
             static_cast<std::uint8_t>(State::kDone))
         return now + 1;
 
-    // Issue: a waiting instruction with possibly-ready sources inside
-    // the scheduler window is (re)considered every cycle. The flag is
-    // maintained by issue()/dispatch() so no window rescan is needed.
+    // Issue: a ready instruction inside the scheduler window is
+    // (re)considered every cycle. The flag is maintained by
+    // issue()/dispatch() so no window walk is needed.
     if (ready_waiting_)
         return now + 1;
 
@@ -110,7 +114,7 @@ Backend::nextEventCycle(Cycle now) const
     // Dispatch: blocked on the decode head's ready_at (or, when the ROB
     // is full, on a retirement event reported above / a memory fill
     // reported by the hierarchy).
-    const bool can_dispatch = !decode_queue_.empty() && !rob_.full();
+    const bool can_dispatch = !decode_queue_.empty() && !robFull();
     if (can_dispatch && decode_queue_.front().ready_at <= now + 1)
         return now + 1;
 
@@ -151,12 +155,13 @@ Backend::retire(Cycle now)
 {
     (void)now;
     std::uint32_t budget = config_.retire_width;
-    while (budget > 0 && !rob_.empty() &&
-           slot_state_[slotOf(rob_.front().seq)] ==
-               static_cast<std::uint8_t>(State::kDone)) {
-        const RobEntry entry = rob_.pop();
-        if (trace_[entry.trace_index].isSwPrefetch())
+    while (budget > 0 && !robEmpty()) {
+        const std::uint32_t slot = slotOf(head_seq_);
+        if (slot_state_[slot] != static_cast<std::uint8_t>(State::kDone))
+            break;
+        if (trace_[slot_trace_index_[slot]].isSwPrefetch())
             ++stats_.retired_sw_prefetches;
+        ++head_seq_;
         ++stats_.retired;
         ++retired_total_;
         --budget;
@@ -166,8 +171,8 @@ Backend::retire(Cycle now)
 void
 Backend::issue(Cycle now)
 {
-    // Nothing in the whole ROB is ready: the scan would find no issue
-    // candidate and no port leftovers, so skip it outright.
+    // Nothing in the whole ROB is ready: there is no issue candidate
+    // and no port leftover, so skip the window outright.
     if (ready_count_ == 0) {
         ready_waiting_ = config_.issue_width == 0;
         return;
@@ -178,24 +183,18 @@ Backend::issue(Cycle now)
     std::uint32_t store_ports = config_.store_ports;
     bool leftover = false;
 
-    // Scan a bounded scheduler window from the oldest instruction. The
-    // scan touches only the SoA state/deps bytes; full entries are
-    // consulted only for instructions that actually issue.
-    const std::uint64_t front_seq = rob_.front().seq;
-    const std::size_t window =
-        std::min<std::size_t>(rob_.size(), config_.sched_window);
-    for (std::size_t pos = 0; pos < window && budget > 0; ++pos) {
-        const std::uint64_t seq = front_seq + pos;
-        const std::uint32_t slot = slotOf(seq);
-        if (slot_state_[slot] != static_cast<std::uint8_t>(State::kWaiting)
-            || slot_deps_[slot] != 0)
-            continue;
+    const std::uint32_t head_slot = slotOf(head_seq_);
 
+    // Issue the ready entry in `slot`, or leave its bit set when its
+    // port or the L1-D queue is blocked.
+    auto issueSlot = [&](std::uint32_t slot) {
         const TraceInstruction &inst = trace_[slot_trace_index_[slot]];
+        const std::uint64_t seq =
+            head_seq_ + ((slot - head_slot) & slot_mask_);
         if (inst.isLoad()) {
             if (load_ports == 0 || !memory_.dataCanAccept()) {
                 leftover = true; // ready but port/queue-blocked
-                continue;
+                return;
             }
             const ReqId id =
                 memory_.issueLoad(inst.mem_addr, now, inst.pc);
@@ -207,7 +206,7 @@ Backend::issue(Cycle now)
         } else if (inst.isStore()) {
             if (store_ports == 0 || !memory_.dataCanAccept()) {
                 leftover = true; // ready but port/queue-blocked
-                continue;
+                return;
             }
             memory_.issueStore(inst.mem_addr, now);
             slot_state_[slot] = static_cast<std::uint8_t>(State::kExecuting);
@@ -218,10 +217,42 @@ Backend::issue(Cycle now)
             slot_state_[slot] = static_cast<std::uint8_t>(State::kExecuting);
             exec_done_.push(ExecEvent{now + latencyFor(inst.cls), seq});
         }
+        ready_bits_[slot >> 6] &= ~(std::uint64_t{1} << (slot & 63));
         --ready_count_;
         --budget;
-    }
-    // Budget exhaustion may leave further ready entries unscanned;
+    };
+
+    // Visit the set bits of slots [lo, hi) in ascending order.
+    auto walk = [&](std::uint32_t lo, std::uint32_t hi) {
+        if (lo >= hi)
+            return;
+        const std::uint32_t last = (hi - 1) >> 6;
+        for (std::uint32_t w = lo >> 6; w <= last && budget > 0; ++w) {
+            std::uint64_t bits = ready_bits_[w];
+            if (w == lo >> 6)
+                bits &= ~std::uint64_t{0} << (lo & 63);
+            if (w == last)
+                bits &= ~std::uint64_t{0} >> (63 - ((hi - 1) & 63));
+            while (bits != 0 && budget > 0) {
+                issueSlot(w * 64 + static_cast<std::uint32_t>(
+                                       std::countr_zero(bits)));
+                bits &= bits - 1;
+            }
+        }
+    };
+
+    // The window is the oldest min(size, sched_window) entries: slots
+    // [head_slot, head_slot + window), wrapping the slot space at most
+    // once because the window never exceeds the slot count.
+    const std::uint32_t slots = slot_mask_ + 1;
+    const std::uint32_t window_end =
+        head_slot + static_cast<std::uint32_t>(std::min<std::size_t>(
+                        robOccupancy(), config_.sched_window));
+    walk(head_slot, std::min(window_end, slots));
+    if (window_end > slots)
+        walk(0, window_end - slots);
+
+    // Budget exhaustion may leave further ready entries unvisited;
     // conservatively keep the backend ticking in that case.
     ready_waiting_ = leftover || budget == 0;
 }
@@ -230,7 +261,7 @@ void
 Backend::dispatch(Cycle now)
 {
     std::uint32_t budget = config_.dispatch_width;
-    while (budget > 0 && !rob_.full() && !decode_queue_.empty() &&
+    while (budget > 0 && !robFull() && !decode_queue_.empty() &&
            decode_queue_.front().ready_at <= now) {
         const DecodedUop uop = decode_queue_.pop();
         const TraceInstruction &inst = trace_[uop.trace_index];
@@ -250,7 +281,7 @@ Backend::dispatch(Cycle now)
             if (inst.src[s] == kNoReg)
                 continue;
             const std::uint64_t producer = producers_[inst.src[s]];
-            if (producer == kNoProducer || !inRob(producer))
+            if (!inRob(producer))
                 continue;
             const std::uint32_t pslot = slotOf(producer);
             if (slot_state_[pslot] == static_cast<std::uint8_t>(State::kDone))
@@ -262,18 +293,19 @@ Backend::dispatch(Cycle now)
             waiter_head_[pslot] = node;
         }
         slot_deps_[slot] = deps;
-        if (deps == 0)
+        if (deps == 0) {
+            setReady(slot);
             ++ready_count_;
+        }
         if (inst.dst != kNoReg)
             producers_[inst.dst] = seq;
 
-        rob_.push(RobEntry{uop.trace_index, seq});
         ++stats_.dispatched;
         --budget;
 
         // A newly dispatched entry with no outstanding producers can
         // issue next cycle; note it for the O(1) nextEventCycle().
-        if (!ready_waiting_ && rob_.size() <= config_.sched_window &&
+        if (!ready_waiting_ && robOccupancy() <= config_.sched_window &&
             deps == 0)
             ready_waiting_ = true;
 

@@ -9,16 +9,28 @@
  * pressure and resolution timing for the front-end characterization;
  * it is deliberately simpler than a full scheduler model.
  *
- * Hot-path layout: the issue scan is the single most expensive loop in
- * the whole simulator (it walks up to sched_window entries every busy
- * cycle), so the per-entry scheduling state lives in flat
- * structure-of-arrays mirrors indexed by `seq & slot_mask_` — a
+ * Hot-path layout: per-entry scheduling state lives in flat
+ * structure-of-arrays mirrors indexed by `seq & slot_mask_`, a
  * power-of-two slot space at least as large as the ROB, so live
- * sequence numbers never collide. Instead of re-deriving operand
- * readiness from producer ROB entries on every scan (two pointer chases
- * per waiting entry), each entry carries an outstanding-producer count
- * that is decremented by the producer's completion through a pooled
- * intrusive waiter list; the scan then touches exactly two small arrays.
+ * sequence numbers never collide. Dispatch hands out sequence numbers
+ * contiguously and retirement is in order, so the ROB is nothing but
+ * the range [head_seq_, next_seq_): membership is one unsigned compare,
+ * and retire reads the head's trace index from its slot.
+ *
+ * Operand readiness is pushed, not polled. Each entry carries an
+ * outstanding-producer count that the producer's completion decrements
+ * through a pooled intrusive waiter list. A ready bitmap, one bit per
+ * slot, holds exactly the kWaiting entries whose count is zero:
+ * dispatch sets the bit of an entry born ready, the completion that
+ * drops a count to zero sets it, and issue clears it. Issue must offer
+ * exactly those entries among the oldest min(size, sched_window),
+ * oldest first. That window is a circular slot range starting at the
+ * head's slot; it wraps the slot space at most once, and slot order
+ * inside it is sequence order. Walking its set bits with
+ * count-trailing-zeros therefore visits every candidate in age order,
+ * and one blocked on its port or the L1-D queue keeps its bit for the
+ * next cycle. A busy cycle costs per ready instruction, not per window
+ * slot.
  */
 #ifndef SIPRE_BACKEND_BACKEND_HPP
 #define SIPRE_BACKEND_BACKEND_HPP
@@ -32,7 +44,6 @@
 #include "frontend/decode_queue.hpp"
 #include "memory/hierarchy.hpp"
 #include "trace/trace.hpp"
-#include "util/circular_buffer.hpp"
 #include "util/flat_map.hpp"
 
 namespace sipre
@@ -96,9 +107,9 @@ class Backend
     void
     accountSkippedCycles(Cycle count)
     {
-        if (rob_.empty())
+        if (robEmpty())
             stats_.empty_rob_cycles += count;
-        if (rob_.full())
+        if (robFull())
             stats_.rob_full_cycles += count;
     }
 
@@ -110,8 +121,8 @@ class Backend
     /** Zero the event counters (end-of-warmup). State is kept. */
     void resetStats() { stats_ = BackendStats{}; }
 
-    /** ROB occupancy (for tests). */
-    std::size_t robOccupancy() const { return rob_.size(); }
+    /** ROB occupancy. */
+    std::size_t robOccupancy() const { return next_seq_ - head_seq_; }
 
     /** Called when a branch enters the ROB (decode complete). */
     std::function<void(std::uint64_t trace_index, Cycle now)> onBranchDecoded;
@@ -126,12 +137,6 @@ class Backend
         kExecuting, ///< latency counting down
         kWaitingMem,///< load in flight in the hierarchy
         kDone
-    };
-
-    struct RobEntry
-    {
-        std::uint64_t trace_index = 0;
-        std::uint64_t seq = 0;         ///< global dispatch sequence number
     };
 
     struct ExecEvent
@@ -155,12 +160,18 @@ class Backend
     {
         return static_cast<std::uint32_t>(seq) & slot_mask_;
     }
-    /** Is seq still in the ROB? Sequence numbers are contiguous. */
+    /** Is seq in [head_seq_, next_seq_)? Never true for kNoProducer. */
     bool
     inRob(std::uint64_t seq) const
     {
-        return !rob_.empty() && seq >= rob_.front().seq &&
-               seq - rob_.front().seq < rob_.size();
+        return seq - head_seq_ < next_seq_ - head_seq_;
+    }
+    bool robEmpty() const { return next_seq_ == head_seq_; }
+    bool robFull() const { return robOccupancy() == config_.rob_size; }
+    void
+    setReady(std::uint32_t slot)
+    {
+        ready_bits_[slot >> 6] |= std::uint64_t{1} << (slot & 63);
     }
     void markDone(std::uint64_t seq, Cycle now);
     void dispatch(Cycle now);
@@ -173,7 +184,9 @@ class Backend
     MemoryHierarchy &memory_;
     DecodeQueue &decode_queue_;
 
-    CircularBuffer<RobEntry> rob_;
+    /** The ROB: in-flight sequence numbers [head_seq_, next_seq_). */
+    std::uint64_t head_seq_ = 0;
+    std::uint64_t next_seq_ = 0;
 
     // --- SoA mirrors of per-entry scheduling state, indexed by
     // seq & slot_mask_ (see file comment). slot_deps_ counts producers
@@ -193,7 +206,11 @@ class Backend
     std::vector<std::uint32_t> waiter_head_;
     std::vector<std::uint32_t> waiter_next_;
 
-    /** kWaiting entries with zero outstanding producers, whole ROB. */
+    /**
+     * Bit `slot` is set exactly when that slot is kWaiting with zero
+     * outstanding producers; ready_count_ is its population count.
+     */
+    std::vector<std::uint64_t> ready_bits_;
     std::size_t ready_count_ = 0;
 
     /**
@@ -205,7 +222,6 @@ class Backend
      * true is always safe; it only costs a no-op tick.
      */
     bool ready_waiting_ = true;
-    std::uint64_t next_seq_ = 0;
     std::uint64_t retired_total_ = 0;
     std::priority_queue<ExecEvent, std::vector<ExecEvent>,
                         std::greater<ExecEvent>>

@@ -1,6 +1,7 @@
 /**
  * @file
- * Fixed-capacity circular FIFO used for the FTQ, ROB, and queues.
+ * Fixed-capacity circular FIFO used for the FTQ, the decode queue and
+ * prefetcher history.
  */
 #ifndef SIPRE_UTIL_CIRCULAR_BUFFER_HPP
 #define SIPRE_UTIL_CIRCULAR_BUFFER_HPP
@@ -68,7 +69,7 @@ class CircularBuffer
     {
         SIPRE_ASSERT(!empty(), "pop from an empty CircularBuffer");
         T value = std::move(slots_[head_]);
-        head_ = (head_ + 1) % capacity_;
+        head_ = physical(1);
         --count_;
         return value;
     }
@@ -128,10 +129,16 @@ class CircularBuffer
     }
 
   private:
+    /**
+     * Slot of logical position `logical`. head_ < capacity_ and
+     * logical <= capacity_, so one conditional subtract replaces the
+     * modulo exactly.
+     */
     std::size_t
     physical(std::size_t logical) const
     {
-        return (head_ + logical) % capacity_;
+        const std::size_t idx = head_ + logical;
+        return idx >= capacity_ ? idx - capacity_ : idx;
     }
 
     std::vector<T> slots_;

@@ -10,8 +10,8 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <sstream>
 #include <string>
+#include <string_view>
 
 namespace sipre
 {
@@ -39,6 +39,15 @@ warn(const std::string &msg)
     std::fprintf(stderr, "warn: %s\n", msg.c_str());
 }
 
+/**
+ * SIPRE_ASSERT's failure path: panic() with "file:line: msg [cond]".
+ * Out of line and cold, so the check costs only its compare and a
+ * call the compiler can keep off the hot path.
+ */
+[[noreturn, gnu::cold]] void assertFailed(const char *file, int line,
+                                          std::string_view msg,
+                                          const char *cond);
+
 } // namespace sipre
 
 /**
@@ -47,12 +56,8 @@ warn(const std::string &msg)
  */
 #define SIPRE_ASSERT(cond, msg)                                              \
     do {                                                                     \
-        if (!(cond)) {                                                       \
-            std::ostringstream oss_;                                         \
-            oss_ << __FILE__ << ":" << __LINE__ << ": " << (msg)             \
-                 << " [" #cond "]";                                          \
-            ::sipre::panic(oss_.str());                                      \
-        }                                                                    \
+        if (!(cond)) [[unlikely]]                                            \
+            ::sipre::assertFailed(__FILE__, __LINE__, (msg), #cond);         \
     } while (0)
 
 #endif // SIPRE_UTIL_LOGGING_HPP

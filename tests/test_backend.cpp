@@ -1,8 +1,13 @@
 /**
  * @file
  * Tests for the out-of-order back-end: dispatch/issue/retire widths,
- * register dependencies, load handling, and branch callbacks.
+ * register dependencies, load handling, branch callbacks, and the
+ * ready-bitmap issue select (slot-space wraps, the scheduler window,
+ * port-blocked leftovers).
  */
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "backend/backend.hpp"
@@ -79,6 +84,26 @@ load(Addr pc, Addr addr, RegId dst)
     inst.cls = InstClass::kLoad;
     inst.mem_addr = addr;
     inst.dst = dst;
+    return inst;
+}
+
+TraceInstruction
+mul(Addr pc, RegId dst)
+{
+    TraceInstruction inst;
+    inst.pc = pc;
+    inst.cls = InstClass::kMul;
+    inst.dst = dst;
+    return inst;
+}
+
+TraceInstruction
+branch(Addr pc, RegId src = kNoReg)
+{
+    TraceInstruction inst;
+    inst.pc = pc;
+    inst.cls = InstClass::kCondBranch;
+    inst.src = {src, kNoReg};
     return inst;
 }
 
@@ -267,6 +292,101 @@ TEST(Backend, RobFullBackpressure)
     EXPECT_GT(h.backend.stats().rob_full_cycles, 0u);
     h.drain(3000);
     EXPECT_EQ(h.backend.retired(), 601u);
+}
+
+// A 6-entry ROB has an 8-slot space. Five-instruction groups, each
+// dispatched into an empty ROB, start at slots 0, 5, 2, 7, 4, 1, 6, 3,
+// so most groups wrap the slot space. With one issue per cycle the
+// select must pick the oldest ready entry, wrapped or not:
+//   +1 div r1 (18) issues, +2 mul r2 (3) issues, +3 the independent
+//   branch issues and resolves at +4, +5 the mul's branch issues and
+//   resolves at +6, +19 the div's branch issues and resolves at +20.
+// Picking by slot number instead of age, or losing the wrapped part
+// of the window, moves these cycles.
+TEST(Backend, ReadySelectIsOldestFirstAcrossSlotWraps)
+{
+    constexpr int kGroups = 24;
+    constexpr Cycle kGroupCycles = 100;
+    Trace trace;
+    for (int g = 0; g < kGroups; ++g) {
+        const Addr pc = 0x1000 + Addr(g) * 0x20;
+        trace.append(div(pc, /*dst=*/1));
+        trace.append(branch(pc + 4, /*src=*/1));
+        trace.append(mul(pc + 8, /*dst=*/2));
+        trace.append(branch(pc + 12, /*src=*/2));
+        trace.append(branch(pc + 16));
+    }
+    BackendConfig config;
+    config.rob_size = 6;
+    config.issue_width = 1;
+    BackendHarness h(std::move(trace), config);
+    std::vector<std::pair<std::uint64_t, Cycle>> executed;
+    h.backend.onBranchExecuted = [&](std::uint64_t idx, Cycle now) {
+        executed.emplace_back(idx, now);
+    };
+
+    std::vector<std::pair<std::uint64_t, Cycle>> expected;
+    for (std::uint64_t g = 0; g < kGroups; ++g) {
+        const Cycle start = h.now;
+        for (std::uint64_t i = 0; i < 5; ++i)
+            h.decode_queue.push(DecodedUop{g * 5 + i, start});
+        h.drain(kGroupCycles);
+        expected.emplace_back(g * 5 + 4, start + 4);
+        expected.emplace_back(g * 5 + 3, start + 6);
+        expected.emplace_back(g * 5 + 1, start + 20);
+    }
+    EXPECT_EQ(executed, expected);
+    EXPECT_EQ(h.backend.retired(), std::uint64_t{kGroups} * 5);
+    EXPECT_EQ(h.backend.robOccupancy(), 0u);
+}
+
+// The select sees only the oldest sched_window entries: a ready load
+// just past the window waits while the head is still executing.
+TEST(Backend, ReadyLoadBeyondSchedWindowWaits)
+{
+    Trace trace;
+    trace.append(div(0x1000, /*dst=*/5));
+    for (int i = 1; i < 4; ++i)
+        trace.append(alu(0x1000 + Addr(i) * 4));
+    trace.append(load(0x1010, 0x900000, /*dst=*/6));
+    BackendConfig config;
+    config.sched_window = 4;
+    BackendHarness h(std::move(trace), config);
+    h.feedAll();
+    h.drain(config.div_latency - 2);
+    EXPECT_EQ(h.backend.stats().loads_issued, 0u);
+    EXPECT_EQ(h.backend.retired(), 0u) << "the divide still blocks the head";
+    h.drain(4);
+    EXPECT_EQ(h.backend.stats().loads_issued, 1u)
+        << "the load enters the window once the head retires";
+    h.drain(2000);
+    EXPECT_EQ(h.backend.retired(), 5u);
+}
+
+// With one load port, three ready loads issue one per cycle; the two
+// left port-blocked keep the back-end ticking every cycle.
+TEST(Backend, PortBlockedLoadsIssueOnePerCycle)
+{
+    Trace trace;
+    for (int i = 0; i < 3; ++i)
+        trace.append(load(0x1000 + Addr(i) * 4, 0x900000 + Addr(i) * 4096,
+                          /*dst=*/RegId(5 + i)));
+    BackendConfig config;
+    config.load_ports = 1;
+    BackendHarness h(std::move(trace), config);
+    h.feedAll();
+    h.drain(1); // dispatch
+    for (std::uint64_t issued = 1; issued <= 3; ++issued) {
+        const Cycle now = h.now;
+        h.drain(1);
+        EXPECT_EQ(h.backend.stats().loads_issued, issued);
+        if (issued < 3)
+            EXPECT_EQ(h.backend.nextEventCycle(now), now + 1)
+                << "a port-blocked load is retried next cycle";
+        else
+            EXPECT_GT(h.backend.nextEventCycle(now), now + 1)
+                << "nothing is left to issue";
+    }
 }
 
 } // namespace

@@ -6,6 +6,7 @@
  */
 #include <gtest/gtest.h>
 
+#include "backend/backend.hpp"
 #include "memory/cache.hpp"
 #include "memory/dram.hpp"
 #include "util/circular_buffer.hpp"
@@ -36,6 +37,16 @@ TEST(ContractDeathTest, OutOfRangeAtPanics)
     CircularBuffer<int> buf(4);
     buf.push(1);
     EXPECT_DEATH(buf.at(3), "out of range");
+}
+
+TEST(ContractDeathTest, BackendRejectsEmptyRob)
+{
+    BackendConfig config;
+    config.rob_size = 0;
+    const Trace trace;
+    MemoryHierarchy memory{HierarchyConfig{}};
+    DecodeQueue decode_queue(4);
+    EXPECT_DEATH(Backend(config, trace, memory, decode_queue), "rob_size");
 }
 
 TEST(ContractDeathTest, HistogramRejectsZeroWidth)
