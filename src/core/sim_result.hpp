@@ -88,7 +88,7 @@ struct SimResult
 
     /**
      * Multi-core co-run extension. Empty for single-core runs. When a
-     * MultiCoreSimulator produced this result, core_results holds one
+     * Simulator ran two or more cores, core_results holds one
      * full per-core SimResult (its llc field duplicates the shared LLC
      * stats) and the top level aggregates: instructions/effective are
      * sums, cycles is the slowest core, the cache/front-end/back-end

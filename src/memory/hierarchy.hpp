@@ -68,10 +68,12 @@ struct HierarchyConfig
 class MemoryHierarchy
 {
   public:
+    /** Standalone hierarchy that owns a private LLC and DRAM. */
     explicit MemoryHierarchy(const HierarchyConfig &config);
 
     /**
-     * Core-private slice of a multi-core hierarchy: this instance owns
+     * Core-private slice over a shared LLC and DRAM (the Simulator's
+     * form at every core count): this instance owns
      * only the L1s and the L2; the L2's lower level is `shared_lower`
      * (a memory-controller port) and `shared_llc`/`shared_dram` are the
      * shared devices behind it, exposed read-only through llc()/dram()

@@ -83,6 +83,22 @@ struct HwPrefetchCounters
     std::uint64_t polluting = 0;          ///< evicted unused
     std::uint64_t demoted_fills = 0;      ///< fills at demoted priority
 
+    /** Add another block's counts into this one; the name is kept. */
+    void
+    merge(const HwPrefetchCounters &other)
+    {
+        issued += other.issued;
+        filtered += other.filtered;
+        dropped_overflow += other.dropped_overflow;
+        dropped_redirect += other.dropped_redirect;
+        dropped_tlb += other.dropped_tlb;
+        deferred_tlb += other.deferred_tlb;
+        useful += other.useful;
+        late += other.late;
+        polluting += other.polluting;
+        demoted_fills += other.demoted_fills;
+    }
+
     double
     accuracy() const
     {

@@ -7,14 +7,20 @@
 namespace sipre
 {
 
+namespace
+{
+/** Per-core bounded request queue. */
+constexpr std::size_t kPortQueueSize = 32;
+/** Round-robin grant bandwidth, requests per cycle. */
+constexpr std::uint32_t kGrantsPerCycle = 4;
+static_assert(kPortQueueSize > 0, "need a nonempty port queue");
+static_assert(kGrantsPerCycle > 0, "need grant bandwidth");
+} // namespace
+
 MemoryController::MemoryController(const HierarchyConfig &hierarchy,
-                                   const MemoryControllerConfig &config,
                                    std::uint32_t cores)
-    : config_(config)
 {
     SIPRE_ASSERT(cores > 0, "memory controller needs at least one core");
-    SIPRE_ASSERT(config_.port_queue_size > 0, "need a nonempty port queue");
-    SIPRE_ASSERT(config_.grants_per_cycle > 0, "need grant bandwidth");
     dram_ = std::make_unique<Dram>(hierarchy.dram);
     llc_ = std::make_unique<Cache>(hierarchy.llc, dram_.get());
     ports_.reserve(cores);
@@ -42,7 +48,7 @@ MemoryController::Port::canAccept() const
     // bounded queue takes over.
     if (queue_.empty() && owner_->total_queued_ == 0)
         return owner_->llc_->canAccept();
-    return queue_.size() < owner_->config_.port_queue_size;
+    return queue_.size() < kPortQueueSize;
 }
 
 void
@@ -54,7 +60,7 @@ MemoryController::Port::enqueue(MemRequest req)
         owner_->llc_->enqueue(req);
         return;
     }
-    SIPRE_ASSERT(queue_.size() < owner_->config_.port_queue_size,
+    SIPRE_ASSERT(queue_.size() < kPortQueueSize,
                  "enqueue into a full controller port");
     ++owner_->port_stats_[core_].queued;
     queue_.push_back(req);
@@ -64,8 +70,14 @@ MemoryController::Port::enqueue(MemRequest req)
 void
 MemoryController::tick(Cycle now)
 {
-    dram_->tick(now);
-    llc_->tick(now);
+    {
+        ProfScope scope(profile_, ProfComponent::kDram);
+        dram_->tick(now);
+    }
+    {
+        ProfScope scope(profile_, ProfComponent::kLlc);
+        llc_->tick(now);
+    }
     dram_depth_.add(dram_->pendingRequests());
 
     // Round-robin grant: starting from rr_next_, hand queued requests
@@ -74,7 +86,7 @@ MemoryController::tick(Cycle now)
     // next tick (one arbitration cycle), which is the contention cost
     // the bypass path avoids.
     std::uint32_t grants = 0;
-    while (grants < config_.grants_per_cycle && total_queued_ > 0 &&
+    while (grants < kGrantsPerCycle && total_queued_ > 0 &&
            llc_->canAccept()) {
         while (ports_[rr_next_]->queue_.empty())
             rr_next_ = (rr_next_ + 1) % cores();

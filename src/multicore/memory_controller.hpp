@@ -1,8 +1,9 @@
 /**
  * @file
- * The shared half of a multi-core memory system: one LLC over one DRAM,
- * fronted by an arbitrated memory controller with a bounded per-core
- * request queue and round-robin grant (the ChampSim shape).
+ * The shared half of the Simulator's memory system at every core count:
+ * one LLC over one DRAM, fronted by an arbitrated memory controller with
+ * a bounded per-core request queue and round-robin grant (the ChampSim
+ * shape).
  *
  * The controller is *exactly* transparent when there is no contention:
  * a request arriving at a port whose queue is empty — while no other
@@ -24,17 +25,11 @@
 #include "memory/cache.hpp"
 #include "memory/dram.hpp"
 #include "memory/hierarchy.hpp"
+#include "util/profiler.hpp"
 #include "util/statistics.hpp"
 
 namespace sipre
 {
-
-/** Arbitration shape of the shared memory controller. */
-struct MemoryControllerConfig
-{
-    std::uint32_t port_queue_size = 32; ///< per-core bounded queue
-    std::uint32_t grants_per_cycle = 4; ///< round-robin grant bandwidth
-};
 
 /** Per-port arbitration counters. */
 struct PortStats
@@ -52,9 +47,7 @@ struct PortStats
 class MemoryController
 {
   public:
-    MemoryController(const HierarchyConfig &hierarchy,
-                     const MemoryControllerConfig &config,
-                     std::uint32_t cores);
+    MemoryController(const HierarchyConfig &hierarchy, std::uint32_t cores);
 
     MemoryDevice *port(std::uint32_t core) { return ports_[core].get(); }
     Cache &llc() { return *llc_; }
@@ -102,6 +95,14 @@ class MemoryController
     /** Zero every shared counter (end of the last core's warmup). */
     void resetStats();
 
+    /**
+     * Attach a per-run profile accumulator: tick() charges DRAM and LLC
+     * wall-clock to their component slots while the process-wide
+     * CycleProfiler is armed. Null detaches. The accumulator must
+     * outlive the controller.
+     */
+    void setProfiler(ProfileAccumulator *acc) { profile_ = acc; }
+
   private:
     /**
      * One core's window onto the shared LLC. Passive: the controller's
@@ -131,7 +132,6 @@ class MemoryController
         std::deque<MemRequest> queue_;
     };
 
-    MemoryControllerConfig config_;
     std::unique_ptr<Dram> dram_;
     std::unique_ptr<Cache> llc_;
     std::vector<std::unique_ptr<Port>> ports_;
@@ -141,6 +141,7 @@ class MemoryController
     std::vector<std::uint64_t> llc_core_hits_;
     std::vector<std::uint64_t> llc_core_misses_;
     Log2Histogram dram_depth_;
+    ProfileAccumulator *profile_ = nullptr;
 };
 
 } // namespace sipre

@@ -1,32 +1,13 @@
 /**
  * @file
- * N-core simulation: per-core front-end, branch unit, back-end, and a
- * private L1-I/L1-D/L2 slice, all sharing one LLC and DRAM behind the
- * arbitrated MemoryController. The run loop generalizes the single-core
- * Simulator's event-skip loop to a multi-component next-event heap:
- * every core contributes a memory, back-end, and front-end claim, the
- * shared memory system contributes one, and the scheduler pops the
- * minimum to bulk-account skipped cycles per component. At cores=1 the
- * heap scheduler is bit-identical to Simulator's skip loop (and, like
- * it, to the reference cycle-by-cycle loop); the MultiCoreDifferential
- * suite enforces this over the full standard campaign.
+ * Co-run helpers. The Simulator runs any number of cores (see
+ * core/simulator.hpp); this header adds the per-core address stride the
+ * co-run entry points apply and keeps the MultiCoreSimulator name.
  */
 #ifndef SIPRE_MULTICORE_MULTICORE_HPP
 #define SIPRE_MULTICORE_MULTICORE_HPP
 
-#include <functional>
-#include <memory>
-#include <unordered_map>
-#include <vector>
-
-#include "backend/backend.hpp"
-#include "core/config.hpp"
-#include "core/metadata_preload.hpp"
-#include "core/sim_result.hpp"
-#include "frontend/frontend.hpp"
-#include "memory/hierarchy.hpp"
-#include "multicore/memory_controller.hpp"
-#include "trace/trace.hpp"
+#include "core/simulator.hpp"
 
 namespace sipre
 {
@@ -37,99 +18,15 @@ namespace sipre
  * processes occupy distinct address ranges instead of constructively
  * sharing LLC lines through the synthesized workloads' common layout.
  * Core 0 keeps offset 0, so a solo run and a co-run's core 0 are
- * directly comparable and cores=1 stays bit-identical to Simulator.
+ * directly comparable.
  * The stride clears every cache/TLB index, and the synthesized layout
  * regions (code/global/heap/stack) sit at distinct residues mod 2^45,
  * so no two cores' images overlap for any supported core count.
  */
 inline constexpr Addr kCoreAddressStride = Addr{1} << 45;
 
-/**
- * N cores co-running N traces over a shared LLC/DRAM.
- *
- * All cores share one SimConfig (homogeneous machines, heterogeneous
- * workloads); per-core AsmDB artifacts (rewritten traces, trigger maps,
- * metadata preloaders) are attached per core before run(). Traces must
- * outlive the simulator.
- */
-class MultiCoreSimulator
-{
-  public:
-    MultiCoreSimulator(const SimConfig &config,
-                       std::vector<const Trace *> traces,
-                       const MemoryControllerConfig &controller =
-                           MemoryControllerConfig{});
-
-    /** AsmDB no-overhead triggers for one core. Call before run(). */
-    void setSwPrefetchTriggers(std::size_t core,
-                               const SwPrefetchTriggers *triggers);
-
-    /** Metadata preloader for one core. Call before run(). */
-    void attachMetadataPreloader(
-        std::size_t core, const MetadataPreloadConfig &config,
-        std::unordered_map<Addr, std::vector<Addr>> metadata);
-
-    /** Windowed FTQ-scenario attribution on every core's front-end. */
-    void enableScenarioTimeline(std::uint32_t window);
-
-    /**
-     * Run every core's trace to retirement and collect results. With
-     * one core the result is shaped exactly like Simulator::run()'s
-     * (no core_results / shared_mem section); with more, core_results
-     * holds each core's full SimResult, shared_mem the contention view,
-     * and the top level the aggregate (summed counters, slowest-core
-     * cycles, shared LLC).
-     */
-    SimResult run();
-
-    std::uint32_t cores() const
-    {
-        return static_cast<std::uint32_t>(cores_.size());
-    }
-
-    /** Instrumentation hook: fired once per executed cycle. */
-    std::function<void(Cycle now)> onCycleEnd;
-
-    // Introspection for tests.
-    MemoryController &controller() { return *controller_; }
-    DecoupledFrontEnd &frontend(std::size_t core)
-    {
-        return *cores_[core]->frontend;
-    }
-    Backend &backend(std::size_t core) { return *cores_[core]->backend; }
-    MemoryHierarchy &memory(std::size_t core)
-    {
-        return *cores_[core]->memory;
-    }
-
-  private:
-    /** One core: private pipeline + L1/L2 slice + scheduler state. */
-    struct Core
-    {
-        const Trace *trace = nullptr;
-        std::unique_ptr<MemoryHierarchy> memory;
-        std::unique_ptr<DecodeQueue> decode_queue;
-        std::unique_ptr<DecoupledFrontEnd> frontend;
-        std::unique_ptr<Backend> backend;
-        std::unique_ptr<MetadataPreloader> preloader;
-        Cycle preloader_now = 0; ///< current cycle for the L1-I hook
-
-        bool poked = false; ///< back-end mutated front-end mid-cycle
-
-        std::uint64_t total = 0;  ///< instructions to retire
-        std::uint64_t warmup = 0; ///< warmup retirement threshold
-        bool warm = false;
-        Cycle warmup_cycles = 0;
-        bool finished = false;
-        Cycle done_cycle = 0;
-    };
-
-    SimResult collectCore(const Core &core) const;
-
-    SimConfig config_;
-    std::unique_ptr<MemoryController> controller_;
-    std::vector<std::unique_ptr<Core>> cores_;
-};
+/** The former name of the N-core driver; the benchmark harness uses it. */
+using MultiCoreSimulator = Simulator;
 
 } // namespace sipre
 

@@ -46,16 +46,16 @@ noteAsmdbRun(AsmdbRunInfo *info, const SimRequest &request,
     info->distance_sum += decision.min_distance;
 }
 
+} // namespace
+
 /**
- * The multi-core form of every request mode: generate one trace per
- * mix entry, apply the mode's AsmDB artifacts per core (each workload
- * profiled separately, as in the single-core recipes), and co-run them
- * over the shared LLC/DRAM.
+ * Every request mode at every core count: generate one trace per mix
+ * entry, apply the mode's AsmDB artifacts per core (each workload
+ * profiled separately), and run them over the shared LLC/DRAM.
  */
 SimResult
-runMultiCoreRequest(const SimRequest &request,
-                    std::uint32_t scenario_window,
-                    AsmdbRunInfo *asmdb_info)
+runSimRequest(const SimRequest &request, std::uint32_t scenario_window,
+              AsmdbRunInfo *asmdb_info)
 {
     const auto suite = synth::cvp1LikeSuite();
     const SimConfig config = request.toConfig();
@@ -74,7 +74,8 @@ runMultiCoreRequest(const SimRequest &request,
         traces.push_back(
             synth::generateTrace(*spec, request.instructions));
         // Each core is a distinct process: rebase before any AsmDB
-        // profiling so artifacts live in the same address space.
+        // profiling so artifacts live in the same address space. Core 0
+        // keeps offset 0, so a solo run is the plain trace.
         traces.back().rebase((traces.size() - 1) * kCoreAddressStride);
     }
 
@@ -120,86 +121,19 @@ runMultiCoreRequest(const SimRequest &request,
     for (const asmdb::FeedbackResult &fb : feedback)
         noteAsmdbRun(asmdb_info, request, fb.decision, fb.plan);
 
-    MultiCoreSimulator sim(config, run_traces);
+    Simulator sim(config, run_traces);
     if (request.mode == SimMode::kNoOverhead) {
         for (std::size_t i = 0; i < artifacts.size(); ++i)
-            sim.setSwPrefetchTriggers(i, &artifacts[i].triggers);
+            sim.setSwPrefetchTriggers(&artifacts[i].triggers, i);
     } else if (request.mode == SimMode::kMetadata) {
         for (std::size_t i = 0; i < artifacts.size(); ++i)
             sim.attachMetadataPreloader(
-                i, MetadataPreloadConfig{},
-                asmdb::buildMetadataMap(artifacts[i].plan));
+                MetadataPreloadConfig{},
+                asmdb::buildMetadataMap(artifacts[i].plan), i);
     }
     if (scenario_window != 0)
         sim.enableScenarioTimeline(scenario_window);
     return sim.run();
-}
-
-} // namespace
-
-SimResult
-runSimRequest(const SimRequest &request, std::uint32_t scenario_window,
-              AsmdbRunInfo *asmdb_info)
-{
-    if (request.cores > 1)
-        return runMultiCoreRequest(request, scenario_window, asmdb_info);
-
-    const auto suite = synth::cvp1LikeSuite();
-    const synth::WorkloadSpec *spec = nullptr;
-    for (const auto &s : suite) {
-        if (s.name == request.workload)
-            spec = &s;
-    }
-    if (spec == nullptr)
-        throw std::runtime_error("unknown workload " + request.workload);
-
-    const Trace trace = synth::generateTrace(*spec, request.instructions);
-    const SimConfig config = request.toConfig();
-    const auto run = [scenario_window](Simulator &sim) {
-        if (scenario_window != 0)
-            sim.enableScenarioTimeline(scenario_window);
-        return sim.run();
-    };
-
-    const asmdb::AsmdbParams params = asmdbParamsFor(request);
-    switch (request.mode) {
-    case SimMode::kBase: {
-        Simulator sim(config, trace);
-        return run(sim);
-    }
-    case SimMode::kAsmdb: {
-        const auto artifacts = asmdb::runPipeline(trace, config, params);
-        noteAsmdbRun(asmdb_info, request, artifacts.decision,
-                     artifacts.plan);
-        Simulator sim(config, artifacts.rewrite.trace);
-        return run(sim);
-    }
-    case SimMode::kNoOverhead: {
-        const auto artifacts = asmdb::runPipeline(trace, config, params);
-        noteAsmdbRun(asmdb_info, request, artifacts.decision,
-                     artifacts.plan);
-        Simulator sim(config, trace);
-        sim.setSwPrefetchTriggers(&artifacts.triggers);
-        return run(sim);
-    }
-    case SimMode::kMetadata: {
-        const auto artifacts = asmdb::runPipeline(trace, config, params);
-        noteAsmdbRun(asmdb_info, request, artifacts.decision,
-                     artifacts.plan);
-        Simulator sim(config, trace);
-        sim.attachMetadataPreloader(
-            MetadataPreloadConfig{},
-            asmdb::buildMetadataMap(artifacts.plan));
-        return run(sim);
-    }
-    case SimMode::kFeedback: {
-        const auto fb = asmdb::runFeedbackDirected(trace, config, params);
-        noteAsmdbRun(asmdb_info, request, fb.decision, fb.plan);
-        Simulator sim(config, fb.rewrite.trace);
-        return run(sim);
-    }
-    }
-    throw std::runtime_error("unhandled mode");
 }
 
 namespace
@@ -528,16 +462,7 @@ SimulationEngine::workerLoop()
                             hwpf_.back().name = c.name;
                             slot = &hwpf_.back();
                         }
-                        slot->issued += c.issued;
-                        slot->filtered += c.filtered;
-                        slot->dropped_overflow += c.dropped_overflow;
-                        slot->dropped_redirect += c.dropped_redirect;
-                        slot->dropped_tlb += c.dropped_tlb;
-                        slot->deferred_tlb += c.deferred_tlb;
-                        slot->useful += c.useful;
-                        slot->late += c.late;
-                        slot->polluting += c.polluting;
-                        slot->demoted_fills += c.demoted_fills;
+                        slot->merge(c);
                     }
                 }
                 if (asmdb_info.pipeline_ran) {

@@ -1,18 +1,20 @@
 /**
  * @file
- * Differential tests for the multi-core subsystem. The two guarantees:
+ * Differential tests for co-runs and for the shared memory controller
+ * that the Simulator builds every core over. The guarantees:
  *
- *  1. At cores=1 the MultiCoreSimulator — heap scheduler, arbitrated
- *     memory controller and all — is bit-identical to the single-core
- *     Simulator, field for field, across the full standard campaign
- *     (all 48 synth workloads through all six configurations).
+ *  1. At one core the controller is a pure pass-through: across the
+ *     full standard campaign (all 48 synth workloads through all six
+ *     configurations) its port never queues and never grants, which is
+ *     what keeps a solo run exact against a private LLC.
  *
- *  2. At cores>1 the heap scheduler is bit-identical to the reference
- *     cycle-by-cycle loop (SIPRE_NO_SKIP), and repeated runs of the
- *     same mix are deterministic.
+ *  2. At every core count the skip loop is bit-identical to the
+ *     reference cycle-by-cycle loop, with every feature that attaches
+ *     per core, and repeated runs of the same mix are deterministic.
  */
 #include <atomic>
 #include <cstdlib>
+#include <functional>
 #include <sstream>
 #include <thread>
 #include <unordered_map>
@@ -41,7 +43,7 @@ class MultiCoreDifferential : public ::testing::Test
     SetUp() override
     {
         // A stray SIPRE_NO_SKIP would turn every skip run into a
-        // reference run and make the heap-vs-loop comparisons vacuous.
+        // reference run and make the skip-vs-loop comparisons vacuous.
         ::unsetenv("SIPRE_NO_SKIP");
     }
 };
@@ -55,43 +57,53 @@ makeTrace(const char *name, synth::Archetype archetype,
         instructions);
 }
 
-/** One config run through the single-core Simulator. */
-SimResult
-runSingle(SimConfig config, const Trace &trace,
-          const SwPrefetchTriggers *triggers = nullptr)
+/**
+ * Runs `trace` on one core and expects the controller's port to have
+ * passed every request straight to the LLC: nothing queued, nothing
+ * granted by the arbiter.
+ */
+void
+expectPassThroughPort(const SimConfig &config, const Trace &trace,
+                      const SwPrefetchTriggers *triggers = nullptr)
 {
     Simulator sim(config, trace);
     if (triggers != nullptr)
         sim.setSwPrefetchTriggers(triggers);
-    return sim.run();
-}
-
-/** The same run through the multi-core machinery with one core. */
-SimResult
-runMulti1(SimConfig config, const Trace &trace,
-          const SwPrefetchTriggers *triggers = nullptr)
-{
-    MultiCoreSimulator sim(config, {&trace});
-    if (triggers != nullptr)
-        sim.setSwPrefetchTriggers(0, triggers);
-    return sim.run();
-}
-
-void
-expectSameAsSingleCore(const SimConfig &config, const Trace &trace,
-                       const SwPrefetchTriggers *triggers = nullptr)
-{
-    const SimResult single = runSingle(config, trace, triggers);
-    const SimResult multi = runMulti1(config, trace, triggers);
-    EXPECT_EQ(diffSimResults(single, multi), "")
+    sim.run();
+    ASSERT_EQ(sim.controller().portStats().size(), 1u);
+    const PortStats &port = sim.controller().portStats()[0];
+    EXPECT_EQ(port.queued, 0u)
+        << "workload " << trace.name() << ", config " << config.label;
+    EXPECT_EQ(port.grants, 0u)
         << "workload " << trace.name() << ", config " << config.label;
 }
 
-// The headline guarantee: the six standard-campaign configurations for
-// every synth workload are unchanged by routing the run through the
-// multi-core scheduler and the arbitrated memory controller at cores=1.
-// Mirrors runOneWorkload() in experiment.cpp, including the AsmDB
-// pipeline runs against both baselines.
+/**
+ * Runs `trace` on one core through the skip loop and through the
+ * reference loop, applying `attach` to both simulators before run(),
+ * and expects bit-identical results.
+ */
+void
+expectSkipMatchesReference(
+    SimConfig config, const Trace &trace,
+    const std::function<void(Simulator &)> &attach = nullptr)
+{
+    SimResult results[2];
+    for (const bool fast_forward : {false, true}) {
+        config.fast_forward = fast_forward;
+        Simulator sim(config, trace);
+        if (attach)
+            attach(sim);
+        results[fast_forward] = sim.run();
+    }
+    EXPECT_EQ(diffSimResults(results[0], results[1]), "")
+        << "workload " << trace.name() << ", config " << config.label;
+}
+
+// The one-core pass-through guarantee over the standard campaign: the
+// six configurations of every synth workload, mirroring
+// runOneWorkload() in experiment.cpp including the AsmDB pipeline runs
+// against both baselines, never queue at the controller's port.
 TEST_F(MultiCoreDifferential, StandardCampaignCores1BitIdentical)
 {
     constexpr std::size_t kInstructions = 40'000;
@@ -105,19 +117,12 @@ TEST_F(MultiCoreDifferential, StandardCampaignCores1BitIdentical)
                 return;
             const Trace trace =
                 synth::generateTrace(suite[index], kInstructions);
-            SimConfig cons = SimConfig::conservative();
-            SimConfig industry = SimConfig::industry();
-            expectSameAsSingleCore(cons, trace);
-            expectSameAsSingleCore(industry, trace);
-            {
-                auto art = asmdb::runPipeline(trace, cons);
-                expectSameAsSingleCore(cons, art.rewrite.trace);
-                expectSameAsSingleCore(cons, trace, &art.triggers);
-            }
-            {
-                auto art = asmdb::runPipeline(trace, industry);
-                expectSameAsSingleCore(industry, art.rewrite.trace);
-                expectSameAsSingleCore(industry, trace, &art.triggers);
+            for (const SimConfig &config :
+                 {SimConfig::conservative(), SimConfig::industry()}) {
+                expectPassThroughPort(config, trace);
+                const auto art = asmdb::runPipeline(trace, config);
+                expectPassThroughPort(config, art.rewrite.trace);
+                expectPassThroughPort(config, trace, &art.triggers);
             }
         }
     };
@@ -132,28 +137,17 @@ TEST_F(MultiCoreDifferential, StandardCampaignCores1BitIdentical)
         t.join();
 }
 
-// The cores=1 identity also holds on the reference cycle-by-cycle loop
-// (fast_forward off on both sides), and the multi-core heap scheduler
-// matches the multi-core reference loop — the same two-sided pinning
-// the single-core skip loop gets from the SkipDifferential suite.
+// At one core the skip loop matches the reference cycle-by-cycle loop.
 TEST_F(MultiCoreDifferential, Cores1ReferenceLoopAndSkipLoopAgree)
 {
     const Trace trace =
         makeTrace("secret_srv12", synth::Archetype::kServer, 120'000);
-    SimConfig config = SimConfig::industry();
-
-    config.fast_forward = false;
-    const SimResult single_ref = runSingle(config, trace);
-    const SimResult multi_ref = runMulti1(config, trace);
-    EXPECT_EQ(diffSimResults(single_ref, multi_ref), "");
-
-    config.fast_forward = true;
-    const SimResult multi_ffw = runMulti1(config, trace);
-    EXPECT_EQ(diffSimResults(multi_ref, multi_ffw), "");
+    expectSkipMatchesReference(SimConfig::industry(), trace);
 }
 
-// Feature combinations at cores=1: metadata preloaders, the iTLB, and
-// HW prefetchers all route through the per-core attachment points.
+// Feature combinations at one core: metadata preloaders, the iTLB, and
+// HW prefetchers all route through the per-core attachment points, and
+// the skip loop must match the reference loop with each attached.
 TEST_F(MultiCoreDifferential, Cores1FeatureCombinations)
 {
     const Trace trace =
@@ -163,25 +157,19 @@ TEST_F(MultiCoreDifferential, Cores1FeatureCombinations)
     config.frontend.itlb = true;
     config.memory.l1i_prefetcher = IPrefetcherKind::kEipLite;
     config.memory.l1d_prefetcher = DPrefetcherKind::kIpStride;
-    expectSameAsSingleCore(config, trace);
+    expectSkipMatchesReference(config, trace);
 
     const SimConfig industry = SimConfig::industry();
     const auto art = asmdb::runPipeline(trace, industry);
     const auto metadata = asmdb::buildMetadataMap(art.plan);
-    {
-        Simulator sim(industry, trace);
+    expectSkipMatchesReference(industry, trace, [&](Simulator &sim) {
         sim.attachMetadataPreloader(MetadataPreloadConfig{}, metadata);
-        const SimResult single = sim.run();
-        MultiCoreSimulator msim(industry, {&trace});
-        msim.attachMetadataPreloader(0, MetadataPreloadConfig{}, metadata);
-        const SimResult multi = msim.run();
-        EXPECT_EQ(diffSimResults(single, multi), "");
-    }
+    });
 }
 
 // The hwpf-managed prefetchers wire through per-core attachment points
-// (FTQ observer, iTLB, L1-I install); every kind must be bit-identical
-// between the single-core Simulator and the cores=1 multi-core path.
+// (FTQ observer, iTLB, L1-I install); with every kind behind the
+// TLB-aware wrapper, the skip loop must match the reference loop.
 TEST_F(MultiCoreDifferential, Cores1HwpfPrefetchersMatchSingleCore)
 {
     const Trace trace =
@@ -192,7 +180,7 @@ TEST_F(MultiCoreDifferential, Cores1HwpfPrefetchersMatchSingleCore)
         SimConfig config = SimConfig::industry();
         config.frontend.itlb = true; // arm the TLB-aware wrapper
         config.memory.l1i_prefetcher = kind;
-        expectSameAsSingleCore(config, trace);
+        expectSkipMatchesReference(config, trace);
     }
 }
 
@@ -225,7 +213,7 @@ runMix(const SimConfig &config, const std::vector<Trace> &traces)
     std::vector<const Trace *> ptrs;
     for (const Trace &t : traces)
         ptrs.push_back(&t);
-    MultiCoreSimulator sim(config, ptrs);
+    Simulator sim(config, ptrs);
     return sim.run();
 }
 
@@ -244,28 +232,31 @@ TEST_F(MultiCoreDifferential, MixedRunsAreDeterministic)
     }
 }
 
-// The multi-core heap scheduler against the multi-core reference loop:
-// a 2-core mix under SIPRE_NO_SKIP must be bit-identical to the same
-// mix fast-forwarded. This is the N-core generalization of the
-// single-core skip/reference differential.
+// The skip loop against the reference loop with several cores: a mix
+// under SIPRE_NO_SKIP must be bit-identical to the same mix
+// fast-forwarded. At 4 cores the minimum runs over more claims, and the
+// cores finish at different cycles.
 TEST_F(MultiCoreDifferential, TwoCoreSkipMatchesReferenceLoop)
 {
-    const auto traces = makeMixTraces(2);
-    SimConfig config = SimConfig::industry();
+    for (const std::size_t cores : {2u, 4u}) {
+        const auto traces = makeMixTraces(cores);
+        SimConfig config = SimConfig::industry();
 
-    config.fast_forward = true;
-    const SimResult ffw = runMix(config, traces);
+        config.fast_forward = true;
+        const SimResult ffw = runMix(config, traces);
 
-    ::setenv("SIPRE_NO_SKIP", "1", 1);
-    const SimResult ref = runMix(config, traces);
-    ::unsetenv("SIPRE_NO_SKIP");
+        ::setenv("SIPRE_NO_SKIP", "1", 1);
+        const SimResult ref = runMix(config, traces);
+        ::unsetenv("SIPRE_NO_SKIP");
 
-    EXPECT_EQ(diffSimResults(ref, ffw), "");
+        EXPECT_EQ(diffSimResults(ref, ffw), "") << cores << " cores";
+        ASSERT_EQ(ffw.core_results.size(), cores);
+    }
 }
 
-// Same heap-vs-loop check with the combined FDIP+MANA configuration:
+// Same skip-vs-loop check with the combined FDIP+MANA configuration:
 // the run-ahead walk's event claims and the prefetch drains must not
-// perturb the multi-core scheduler at cores>1 either.
+// perturb the skip loop at cores>1 either.
 TEST_F(MultiCoreDifferential, TwoCoreSkipMatchesReferenceWithFdipMana)
 {
     const auto traces = makeMixTraces(2);
@@ -297,7 +288,7 @@ TEST_F(MultiCoreDifferential, ControllerContentionAccounting)
     {
         const Trace trace =
             makeTrace("secret_srv12", synth::Archetype::kServer, 60'000);
-        MultiCoreSimulator sim(SimConfig::industry(), {&trace});
+        Simulator sim(SimConfig::industry(), trace);
         sim.run();
         const PortStats &port = sim.controller().portStats()[0];
         EXPECT_EQ(port.queued, 0u);
@@ -307,7 +298,7 @@ TEST_F(MultiCoreDifferential, ControllerContentionAccounting)
     {
         const auto traces = makeMixTraces(2);
         std::vector<const Trace *> ptrs{&traces[0], &traces[1]};
-        MultiCoreSimulator sim(SimConfig::industry(), ptrs);
+        Simulator sim(SimConfig::industry(), ptrs);
         const SimResult result = sim.run();
         ASSERT_EQ(result.core_results.size(), 2u);
         const auto &hits = result.shared_mem.llc_core_hits;
@@ -382,7 +373,7 @@ TEST_F(MultiCoreDifferential, ResultTextAndJsonCarryTheSharedState)
     // A single-core result keeps the legacy shape: no multi-core keys.
     const Trace solo =
         makeTrace("secret_srv12", synth::Archetype::kServer, 60'000);
-    const SimResult single = runMulti1(SimConfig::industry(), solo);
+    const SimResult single = Simulator(SimConfig::industry(), solo).run();
     const std::string single_json = simResultToJson(single);
     EXPECT_EQ(single_json.find("\"shared_mem\""), std::string::npos);
     EXPECT_EQ(single_json.find("\"core_results\""), std::string::npos);

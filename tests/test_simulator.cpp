@@ -8,6 +8,7 @@
 
 #include "core/simulator.hpp"
 #include "trace/synth/workload.hpp"
+#include "util/profiler.hpp"
 
 namespace sipre
 {
@@ -240,6 +241,25 @@ TEST(Simulator, FtqDepthSweepIsMonotonicOverall)
     const double d16 = ipc_at(16);
     EXPECT_GT(d4, d2 * 0.99);
     EXPECT_GT(d16, d2 * 1.03);
+}
+
+// With the profiler armed, a run attributes wall-clock to every
+// component slot it ticks, including the shared LLC and DRAM that the
+// memory controller ticks on the cores' behalf.
+TEST(Simulator, ProfileAttributesSharedLlcAndDram)
+{
+    const Trace trace = workloadTrace(0, 20'000);
+    CycleProfiler::global().enable();
+    Simulator sim(SimConfig::industry(), trace);
+    sim.run();
+    CycleProfiler::global().disable();
+    for (const ProfComponent c :
+         {ProfComponent::kFrontend, ProfComponent::kBackend,
+          ProfComponent::kL1i, ProfComponent::kL2, ProfComponent::kLlc,
+          ProfComponent::kDram}) {
+        EXPECT_GT(sim.profile()[c].ns, 0u) << profComponentName(c);
+        EXPECT_GT(sim.profile()[c].ticks, 0u) << profComponentName(c);
+    }
 }
 
 } // namespace

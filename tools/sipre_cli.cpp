@@ -167,10 +167,14 @@ main(int argc, char **argv)
             const auto n = parseUnsigned(value, ~std::uint32_t{0});
             if (!n)
                 return badValue("--ftq", value, "an unsigned integer");
+            // Labelled like SimRequest::toConfig: the default depth keeps
+            // the industry label.
+            const SimConfig industry = SimConfig::industry();
             config.frontend.ftq_entries =
                 static_cast<std::uint32_t>(*n);
-            config.label = "ftq" +
-                           std::to_string(config.frontend.ftq_entries);
+            config.label = *n == industry.frontend.ftq_entries
+                               ? industry.label
+                               : "ftq" + std::to_string(*n);
         } else if (arg == "--instructions") {
             const std::string value = next();
             const auto n = parseUnsigned(value);
@@ -291,10 +295,8 @@ main(int argc, char **argv)
         cores = static_cast<std::uint32_t>(mix.size());
         workload = mix.front();
     }
-    const bool multicore = cores > 1;
-    if (multicore &&
-        (!save_path.empty() || !load_path.empty() ||
-         !champsim_path.empty())) {
+    if (cores > 1 && (!save_path.empty() || !load_path.empty() ||
+                      !champsim_path.empty())) {
         std::fprintf(stderr,
                      "sipre_cli: error: --cores/--mix only run the "
                      "synthesized workloads (no trace files)\n");
@@ -310,12 +312,31 @@ main(int argc, char **argv)
     if (profile)
         CycleProfiler::global().enable();
 
-    if (multicore) {
+    // Obtain one trace per core. A trace file feeds the single core;
+    // synthesized workloads are each a distinct process, rebased to
+    // their own address range before AsmDB profiling (core 0 keeps
+    // offset 0).
+    std::vector<Trace> traces;
+    traces.reserve(cores);
+    if (!champsim_path.empty()) {
+        traces.emplace_back();
+        if (!importChampsimFile(champsim_path, traces.back(),
+                                instructions)) {
+            std::fprintf(stderr, "error: cannot import %s\n",
+                         champsim_path.c_str());
+            return 1;
+        }
+    } else if (!load_path.empty()) {
+        traces.emplace_back();
+        if (!traces.back().load(load_path)) {
+            std::fprintf(stderr, "error: cannot load trace %s\n",
+                         load_path.c_str());
+            return 1;
+        }
+    } else {
         const auto suite = synth::cvp1LikeSuite();
-        std::vector<std::string> names =
+        const std::vector<std::string> names =
             mix.empty() ? std::vector<std::string>(cores, workload) : mix;
-        std::vector<Trace> traces;
-        traces.reserve(names.size());
         for (const std::string &name : names) {
             const synth::WorkloadSpec *spec = nullptr;
             for (const auto &s : suite) {
@@ -329,207 +350,111 @@ main(int argc, char **argv)
                 return 1;
             }
             traces.push_back(synth::generateTrace(*spec, instructions));
-            // Distinct process per core: rebase before AsmDB profiling.
-            traces.back().rebase((traces.size() - 1) *
-                                 kCoreAddressStride);
+            traces.back().rebase((traces.size() - 1) * kCoreAddressStride);
         }
-
-        // Per-core AsmDB artifacts; rewritten-trace modes swap each
-        // core's trace for its rewritten counterpart (mirrors the
-        // service engine's multi-core path). Reserve up front: the
-        // swap stores &artifacts.back().rewrite.trace mid-loop, so a
-        // vector grow would dangle every earlier core's pointer.
-        std::vector<asmdb::AsmdbArtifacts> artifacts;
-        std::vector<asmdb::FeedbackResult> feedback;
-        artifacts.reserve(traces.size());
-        feedback.reserve(traces.size());
-        std::vector<const Trace *> run_traces;
-        for (const Trace &t : traces)
-            run_traces.push_back(&t);
-        switch (*mode) {
-        case SimMode::kBase:
-            break;
-        case SimMode::kAsmdb:
-            for (std::size_t i = 0; i < traces.size(); ++i) {
-                artifacts.push_back(
-                    asmdb::runPipeline(traces[i], config, aparams));
-                run_traces[i] = &artifacts.back().rewrite.trace;
-            }
-            break;
-        case SimMode::kNoOverhead:
-        case SimMode::kMetadata:
-            for (const Trace &t : traces)
-                artifacts.push_back(
-                    asmdb::runPipeline(t, config, aparams));
-            break;
-        case SimMode::kFeedback:
-            for (std::size_t i = 0; i < traces.size(); ++i) {
-                feedback.push_back(asmdb::runFeedbackDirected(
-                    traces[i], config, aparams));
-                run_traces[i] = &feedback.back().rewrite.trace;
-            }
-            break;
-        }
-
-        MultiCoreSimulator sim(config, run_traces);
-        if (*mode == SimMode::kNoOverhead) {
-            for (std::size_t i = 0; i < artifacts.size(); ++i)
-                sim.setSwPrefetchTriggers(i, &artifacts[i].triggers);
-        } else if (*mode == SimMode::kMetadata) {
-            for (std::size_t i = 0; i < artifacts.size(); ++i)
-                sim.attachMetadataPreloader(
-                    i, MetadataPreloadConfig{},
-                    asmdb::buildMetadataMap(artifacts[i].plan));
-        }
-        if (scenario_window != 0)
-            sim.enableScenarioTimeline(scenario_window);
-        const SimResult result = sim.run();
-        if (json)
-            std::printf("%s\n", simResultToJson(result).c_str());
-        else
-            printReport(result, std::cout);
-        if (!result_out.empty() && !writeResultFile(result_out, result))
-            return 1;
-        if (profile)
-            std::fprintf(stderr,
-                         "[sipre_cli] --profile attributes a single "
-                         "core's busy cycles; not yet wired for "
-                         "--cores/--mix runs\n");
-        return 0;
-    }
-
-    // Obtain the trace.
-    Trace trace;
-    if (!champsim_path.empty()) {
-        if (!importChampsimFile(champsim_path, trace, instructions)) {
-            std::fprintf(stderr, "error: cannot import %s\n",
-                         champsim_path.c_str());
-            return 1;
-        }
-    } else if (!load_path.empty()) {
-        if (!trace.load(load_path)) {
-            std::fprintf(stderr, "error: cannot load trace %s\n",
-                         load_path.c_str());
-            return 1;
-        }
-    } else {
-        const auto suite = synth::cvp1LikeSuite();
-        const synth::WorkloadSpec *spec = nullptr;
-        for (const auto &s : suite) {
-            if (s.name == workload)
-                spec = &s;
-        }
-        if (spec == nullptr) {
-            std::fprintf(stderr,
-                         "error: unknown workload %s (try --list)\n",
-                         workload.c_str());
-            return 1;
-        }
-        trace = synth::generateTrace(*spec, instructions);
     }
     if (!save_path.empty()) {
-        if (!trace.save(save_path)) {
+        if (!traces[0].save(save_path)) {
             std::fprintf(stderr, "error: cannot save trace to %s\n",
                          save_path.c_str());
             return 1;
         }
-        std::printf("saved %zu instructions to %s\n", trace.size(),
+        std::printf("saved %zu instructions to %s\n", traces[0].size(),
                     save_path.c_str());
         return 0;
     }
 
-    // With --json the only stdout output is the result document, so
-    // scripts can pipe it straight into a JSON parser.
-    SimResult last_result;
-    auto emit = [&](const SimResult &result) {
-        last_result = result;
-        if (json)
-            std::printf("%s\n", simResultToJson(result).c_str());
-        else
-            printReport(result, std::cout);
-    };
-    // Applied to every simulator below so each mode's run records the
-    // scenario timeline when one was requested.
-    auto armed = [&](Simulator &sim) -> Simulator & {
-        if (scenario_window != 0)
-            sim.enableScenarioTimeline(scenario_window);
-        return sim;
-    };
-    // Run + emit + (on --profile) the per-component wall-clock table.
-    // The table goes to stderr so --json keeps stdout machine-readable.
-    auto runAndEmit = [&](Simulator &sim) {
-        emit(armed(sim).run());
-        if (profile) {
-            std::fprintf(stderr,
-                         "[sipre_cli] busy-cycle profile (%s, %llu "
-                         "cycles):\n%s",
-                         last_result.workload.c_str(),
-                         static_cast<unsigned long long>(
-                             last_result.cycles),
-                         sim.profile().table(last_result.cycles).c_str());
-        }
-    };
-
-    // Run the requested mode.
+    // Per-core AsmDB artifacts; rewritten-trace modes swap each core's
+    // trace for its rewritten counterpart. Reserve up front: the swap
+    // stores &artifacts.back().rewrite.trace mid-loop, so a vector grow
+    // would dangle every earlier core's pointer. With --json the only
+    // stdout output is the result document, so scripts can pipe it
+    // straight into a JSON parser.
+    std::vector<asmdb::AsmdbArtifacts> artifacts;
+    std::vector<asmdb::FeedbackResult> feedback;
+    artifacts.reserve(traces.size());
+    feedback.reserve(traces.size());
+    std::vector<const Trace *> run_traces;
+    for (const Trace &t : traces)
+        run_traces.push_back(&t);
     switch (*mode) {
-    case SimMode::kBase: {
-        Simulator sim(config, trace);
-        runAndEmit(sim);
+    case SimMode::kBase:
         break;
-    }
     case SimMode::kAsmdb:
     case SimMode::kNoOverhead:
-    case SimMode::kMetadata: {
-        const auto artifacts = asmdb::runPipeline(trace, config, aparams);
-        if (!json) {
-            std::printf("AsmDB plan: %zu insertions, static bloat "
-                        "%.1f%%, dynamic bloat %.1f%%\n\n",
-                        artifacts.plan.insertions.size(),
-                        100.0 * artifacts.rewrite.staticBloat(),
-                        100.0 * artifacts.rewrite.dynamicBloat());
+    case SimMode::kMetadata:
+        for (std::size_t i = 0; i < traces.size(); ++i) {
+            artifacts.push_back(
+                asmdb::runPipeline(traces[i], config, aparams));
+            const asmdb::AsmdbArtifacts &art = artifacts.back();
+            if (!json) {
+                std::printf("AsmDB plan: %zu insertions, static bloat "
+                            "%.1f%%, dynamic bloat %.1f%%\n\n",
+                            art.plan.insertions.size(),
+                            100.0 * art.rewrite.staticBloat(),
+                            100.0 * art.rewrite.dynamicBloat());
+            }
+            if (*mode == SimMode::kAsmdb)
+                run_traces[i] = &art.rewrite.trace;
         }
-        if (*mode == SimMode::kAsmdb) {
-            Simulator sim(config, artifacts.rewrite.trace);
-            runAndEmit(sim);
-        } else if (*mode == SimMode::kNoOverhead) {
-            Simulator sim(config, trace);
-            sim.setSwPrefetchTriggers(&artifacts.triggers);
-            runAndEmit(sim);
-        } else {
-            Simulator sim(config, trace);
+        break;
+    case SimMode::kFeedback:
+        for (std::size_t i = 0; i < traces.size(); ++i) {
+            feedback.push_back(
+                asmdb::runFeedbackDirected(traces[i], config, aparams));
+            const asmdb::FeedbackResult &fb = feedback.back();
+            if (!json) {
+                std::printf("feedback-directed: insertions per round:");
+                for (const auto n : fb.insertions_per_round)
+                    std::printf(" %zu", n);
+                std::printf(" (dropped %llu)\n\n",
+                            static_cast<unsigned long long>(
+                                fb.dropped_insertions));
+            }
+            run_traces[i] = &fb.rewrite.trace;
+        }
+        break;
+    }
+
+    Simulator sim(config, run_traces);
+    if (*mode == SimMode::kNoOverhead) {
+        for (std::size_t i = 0; i < artifacts.size(); ++i)
+            sim.setSwPrefetchTriggers(&artifacts[i].triggers, i);
+    } else if (*mode == SimMode::kMetadata) {
+        for (std::size_t i = 0; i < artifacts.size(); ++i)
             sim.attachMetadataPreloader(
                 MetadataPreloadConfig{},
-                asmdb::buildMetadataMap(artifacts.plan));
-            runAndEmit(sim);
-            if (!json) {
-                const auto *stats = sim.metadataStats();
-                std::printf(
-                    "\nmetadata preloader: %llu lookups, %llu L1 "
-                    "hits, %llu fills, %llu prefetches\n",
-                    static_cast<unsigned long long>(stats->lookups),
-                    static_cast<unsigned long long>(stats->l1_hits),
-                    static_cast<unsigned long long>(
-                        stats->metadata_fills),
-                    static_cast<unsigned long long>(
-                        stats->prefetches_issued));
-            }
-        }
-        break;
+                asmdb::buildMetadataMap(artifacts[i].plan), i);
     }
-    case SimMode::kFeedback: {
-        const auto fb = asmdb::runFeedbackDirected(trace, config, aparams);
-        if (!json) {
-            std::printf("feedback-directed: insertions per round:");
-            for (const auto n : fb.insertions_per_round)
-                std::printf(" %zu", n);
-            std::printf(" (dropped %llu)\n\n",
+    if (scenario_window != 0)
+        sim.enableScenarioTimeline(scenario_window);
+    const SimResult last_result = sim.run();
+    if (json)
+        std::printf("%s\n", simResultToJson(last_result).c_str());
+    else
+        printReport(last_result, std::cout);
+    if (*mode == SimMode::kMetadata && !json) {
+        for (std::size_t i = 0; i < artifacts.size(); ++i) {
+            const auto *stats = sim.metadataStats(i);
+            std::printf("\nmetadata preloader: %llu lookups, %llu L1 "
+                        "hits, %llu fills, %llu prefetches\n",
+                        static_cast<unsigned long long>(stats->lookups),
+                        static_cast<unsigned long long>(stats->l1_hits),
                         static_cast<unsigned long long>(
-                            fb.dropped_insertions));
+                            stats->metadata_fills),
+                        static_cast<unsigned long long>(
+                            stats->prefetches_issued));
         }
-        Simulator sim(config, fb.rewrite.trace);
-        runAndEmit(sim);
-        break;
     }
+    // The per-component wall-clock table goes to stderr so --json keeps
+    // stdout machine-readable.
+    if (profile) {
+        std::fprintf(stderr,
+                     "[sipre_cli] busy-cycle profile (%s, %llu "
+                     "cycles):\n%s",
+                     last_result.workload.c_str(),
+                     static_cast<unsigned long long>(last_result.cycles),
+                     sim.profile().table(last_result.cycles).c_str());
     }
 
     if (!result_out.empty() && !writeResultFile(result_out, last_result))
