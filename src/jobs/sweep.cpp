@@ -277,14 +277,7 @@ parseSweepSpec(const std::string &body, SweepSpec &out, std::string &error)
     std::vector<std::string> all_names = out.workloads;
     all_names.insert(all_names.end(), out.mix.begin(), out.mix.end());
     for (const auto &name : all_names) {
-        bool known = false;
-        for (const auto &spec : synth::cvp1LikeSuite()) {
-            if (spec.name == name) {
-                known = true;
-                break;
-            }
-        }
-        if (!known) {
+        if (synth::findWorkload(name) == nullptr) {
             error = "unknown workload '" + name + "'";
             return false;
         }

@@ -57,22 +57,21 @@ SimResult
 runSimRequest(const SimRequest &request, std::uint32_t scenario_window,
               AsmdbRunInfo *asmdb_info)
 {
-    const auto suite = synth::cvp1LikeSuite();
     const SimConfig config = request.toConfig();
     const std::vector<std::string> mix = request.effectiveMix();
 
     std::vector<Trace> traces;
     traces.reserve(mix.size());
     for (const std::string &name : mix) {
-        const synth::WorkloadSpec *spec = nullptr;
-        for (const auto &s : suite) {
-            if (s.name == name)
-                spec = &s;
-        }
+        const synth::WorkloadSpec *spec = synth::findWorkload(name);
         if (spec == nullptr)
             throw std::runtime_error("unknown workload " + name);
-        traces.push_back(
-            synth::generateTrace(*spec, request.instructions));
+        {
+            trace_obs::Span span("trace.synth", "trace");
+            span.arg("workload", name);
+            traces.push_back(
+                synth::generateTrace(*spec, request.instructions));
+        }
         // Each core is a distinct process: rebase before any AsmDB
         // profiling so artifacts live in the same address space. Core 0
         // keeps offset 0, so a solo run is the plain trace.

@@ -236,14 +236,7 @@ parseSimRequest(const std::string &body, SimRequest &out, std::string &error)
 
     // Validate every named workload against the synthesized suite.
     for (const std::string &name : out.effectiveMix()) {
-        bool known = false;
-        for (const auto &spec : synth::cvp1LikeSuite()) {
-            if (spec.name == name) {
-                known = true;
-                break;
-            }
-        }
-        if (!known) {
+        if (synth::findWorkload(name) == nullptr) {
             error = "unknown workload '" + name + "'";
             return false;
         }

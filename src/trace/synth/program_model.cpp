@@ -10,45 +10,49 @@ namespace sipre::synth
 namespace
 {
 
-/** Per-level function-count pyramid and id layout. */
-struct Levels
+/**
+ * The per-level function-count pyramid as id bounds: function 0 is the
+ * dispatcher, and level l holds ids [bounds[l], bounds[l+1]).
+ */
+std::vector<std::uint32_t>
+makeLevelBounds(const ProgramParams &p)
 {
-    std::vector<std::uint32_t> size; ///< functions at each level
-    std::vector<std::uint32_t> base; ///< first function id of each level
-
-    std::uint32_t
-    total() const
-    {
-        std::uint32_t n = 0;
-        for (std::uint32_t s : size)
-            n += s;
-        return n;
-    }
-};
-
-Levels
-makeLevels(const ProgramParams &p)
-{
-    Levels levels;
+    std::vector<std::uint32_t> bounds{1};
     double size = p.functions_per_level;
-    std::uint32_t next_base = 1; // function 0 is the dispatcher
     for (std::uint32_t l = 0; l < p.levels; ++l) {
         const auto count =
             std::max<std::uint32_t>(8, static_cast<std::uint32_t>(size));
-        levels.size.push_back(count);
-        levels.base.push_back(next_base);
-        next_base += count;
+        bounds.push_back(bounds.back() + count);
         size /= p.level_shrink;
     }
-    return levels;
+    return bounds;
 }
 
-/** Build one non-dispatcher function's CFG. */
-FunctionModel
-buildFunction(const ProgramParams &p, std::uint32_t level,
-              const Levels &levels, Rng &rng)
+/**
+ * Reset `b` to a default block but keep its vectors' capacity, so a
+ * scratch function reused across builds stops allocating once grown.
+ */
+void
+resetBlock(BlockModel &b)
 {
-    FunctionModel fn;
+    b.multi_targets.clear();
+    b.callees.clear();
+    b.schedule.clear();
+    b = BlockModel{.multi_targets = std::move(b.multi_targets),
+                   .callees = std::move(b.callees),
+                   .schedule = std::move(b.schedule)};
+}
+
+/**
+ * Build one non-dispatcher function's CFG into `fn`, drawing from `rng`.
+ * Whatever `fn` held before is overwritten; its addresses are left to
+ * layOut().
+ */
+void
+buildFunction(const ProgramParams &p, std::uint32_t level,
+              const std::vector<std::uint32_t> &level_bounds, Rng &rng,
+              FunctionModel &fn)
+{
     fn.level = level;
     const bool is_leaf = (level + 1 >= p.levels);
 
@@ -59,6 +63,7 @@ buildFunction(const ProgramParams &p, std::uint32_t level,
 
     for (std::uint32_t i = 0; i < nblocks; ++i) {
         BlockModel &b = fn.blocks[i];
+        resetBlock(b);
         b.body_instrs =
             static_cast<std::uint16_t>(rng.range(p.min_body, p.max_body));
 
@@ -83,12 +88,13 @@ buildFunction(const ProgramParams &p, std::uint32_t level,
                     rng.chance(0.7) ? level + 1
                                     : static_cast<std::uint32_t>(rng.range(
                                           level + 1, p.levels - 1));
-                return levels.base[callee_level] +
-                       static_cast<std::uint32_t>(
-                           rng.below(levels.size[callee_level]));
+                const std::uint32_t first = level_bounds[callee_level];
+                return first + static_cast<std::uint32_t>(rng.below(
+                                   level_bounds[callee_level + 1] - first));
             };
             const std::size_t n_callees =
                 indirect ? rng.range(2, p.max_indirect_targets) : 1;
+            b.callees.reserve(n_callees);
             for (std::size_t c = 0; c < n_callees; ++c)
                 b.callees.push_back(pick_callee());
             if (indirect) {
@@ -99,6 +105,7 @@ buildFunction(const ProgramParams &p, std::uint32_t level,
                 // occasional other callees, which is both realistic and
                 // learnable by a path-history target predictor.
                 const std::size_t sched_len = rng.range(8, 24);
+                b.schedule.reserve(sched_len);
                 for (std::size_t s = 0; s < sched_len; ++s) {
                     b.schedule.push_back(static_cast<std::uint16_t>(
                         rng.chance(0.9) ? 0
@@ -145,12 +152,14 @@ buildFunction(const ProgramParams &p, std::uint32_t level,
             b.term = TermKind::kIndirectJump;
             const std::size_t n_targets = std::min<std::size_t>(
                 rng.range(2, p.max_indirect_targets), nblocks - i - 1);
+            b.multi_targets.reserve(n_targets);
             for (std::size_t t = 0; t < n_targets; ++t) {
                 b.multi_targets.push_back(static_cast<std::uint32_t>(
                     rng.range(i + 1, nblocks - 1)));
             }
             // One dominant target with occasional excursions.
             const std::size_t sched_len = rng.range(4, 16);
+            b.schedule.reserve(sched_len);
             for (std::size_t s = 0; s < sched_len; ++s) {
                 b.schedule.push_back(static_cast<std::uint16_t>(
                     rng.chance(0.8) ? 0
@@ -167,7 +176,85 @@ buildFunction(const ProgramParams &p, std::uint32_t level,
             b.term = TermKind::kFallthrough;
         }
     }
-    return fn;
+}
+
+/**
+ * Build the dispatcher into `fn`: an endless loop whose body
+ * indirect-calls level-0 functions, standing in for a server
+ * request-dispatch loop. Its schedule draws from its own generator.
+ */
+void
+buildDispatcher(const ProgramParams &params,
+                const std::vector<std::uint32_t> &level_bounds,
+                std::uint64_t seed, FunctionModel &fn)
+{
+    fn.level = 0;
+    fn.blocks.resize(3);
+    for (BlockModel &b : fn.blocks)
+        resetBlock(b);
+    fn.blocks[0].body_instrs = 3;
+    fn.blocks[0].term = TermKind::kFallthrough;
+    fn.blocks[1].body_instrs = 2;
+    fn.blocks[1].term = TermKind::kIndirectCall;
+    const std::uint32_t roots = level_bounds[1] - level_bounds[0];
+    const std::uint32_t fanout =
+        params.dispatcher_fanout == 0
+            ? roots
+            : std::min(params.dispatcher_fanout, roots);
+    fn.blocks[1].callees.reserve(fanout);
+    for (std::uint32_t i = 0; i < fanout; ++i)
+        fn.blocks[1].callees.push_back(level_bounds[0] + i);
+    {
+        // Every root appears in the schedule (full footprint), in a
+        // fixed shuffled order with ~25% of slots re-visiting one of
+        // the eight hottest request types.
+        Rng sched_rng(seed ^ 0xd15bULL);
+        auto &sched = fn.blocks[1].schedule;
+        sched.resize(fanout);
+        for (std::uint32_t i = 0; i < fanout; ++i)
+            sched[i] = static_cast<std::uint16_t>(i);
+        for (std::uint32_t i = fanout - 1; i > 0; --i) {
+            const auto j = sched_rng.below(i + 1);
+            std::swap(sched[i], sched[j]);
+        }
+        // Hot requests arrive in bursts of a single type so that the
+        // schedule stays mostly learnable: within a burst the
+        // dispatcher target repeats; only burst boundaries are
+        // genuinely ambiguous.
+        const double h = std::clamp(params.hot_request_fraction, 0.0, 0.75);
+        std::size_t hot_slots =
+            static_cast<std::size_t>(fanout * h / (1.0 - h));
+        while (hot_slots > 0) {
+            const std::size_t run =
+                std::min<std::size_t>(hot_slots, sched_rng.range(12, 24));
+            const auto hot_root = static_cast<std::uint16_t>(
+                sched_rng.below(std::min(fanout, 8u)));
+            const auto pos = static_cast<std::ptrdiff_t>(
+                sched_rng.below(sched.size()));
+            sched.insert(sched.begin() + pos, run, hot_root);
+            hot_slots -= run;
+        }
+    }
+    fn.blocks[2].body_instrs = 2;
+    fn.blocks[2].term = TermKind::kCondLoopBack;
+    fn.blocks[2].target_block = 0;
+    fn.blocks[2].loop_trips = 0xffff; // effectively endless
+}
+
+/**
+ * Lay `fn`'s blocks out sequentially from `entry`; returns the next
+ * function's entry (16-byte aligned).
+ */
+Addr
+layOut(FunctionModel &fn, Addr entry)
+{
+    fn.entry = entry;
+    Addr cursor = entry;
+    for (BlockModel &block : fn.blocks) {
+        block.addr = cursor;
+        cursor += block.sizeBytes();
+    }
+    return (cursor + 15) & ~Addr{15};
 }
 
 } // namespace
@@ -186,87 +273,47 @@ ProgramModel::build(const ProgramParams &params, std::uint64_t seed)
     SIPRE_ASSERT(params.level_shrink >= 1.0,
                  "level_shrink must not grow the pyramid");
 
-    Rng rng(seed);
     ProgramModel prog;
-    const Levels levels = makeLevels(params);
-    prog.functions_.reserve(1 + levels.total());
+    prog.params_ = params;
+    prog.seed_ = seed;
+    prog.level_bounds_ = makeLevelBounds(params);
+    prog.starts_.reserve(prog.level_bounds_.back());
 
-    // Function 0: the dispatcher. An endless loop whose body
-    // indirect-calls level-0 functions, standing in for a server
-    // request-dispatch loop.
-    {
-        FunctionModel disp;
-        disp.level = 0;
-        disp.blocks.resize(3);
-        disp.blocks[0].body_instrs = 3;
-        disp.blocks[0].term = TermKind::kFallthrough;
-        disp.blocks[1].body_instrs = 2;
-        disp.blocks[1].term = TermKind::kIndirectCall;
-        const std::uint32_t fanout =
-            params.dispatcher_fanout == 0
-                ? levels.size[0]
-                : std::min(params.dispatcher_fanout, levels.size[0]);
-        for (std::uint32_t i = 0; i < fanout; ++i)
-            disp.blocks[1].callees.push_back(levels.base[0] + i);
-        {
-            // Every root appears in the schedule (full footprint), in a
-            // fixed shuffled order with ~25% of slots re-visiting one of
-            // the eight hottest request types.
-            Rng sched_rng(seed ^ 0xd15bULL);
-            auto &sched = disp.blocks[1].schedule;
-            sched.resize(fanout);
-            for (std::uint32_t i = 0; i < fanout; ++i)
-                sched[i] = static_cast<std::uint16_t>(i);
-            for (std::uint32_t i = fanout - 1; i > 0; --i) {
-                const auto j = sched_rng.below(i + 1);
-                std::swap(sched[i], sched[j]);
-            }
-            // Hot requests arrive in bursts of a single type so that the
-            // schedule stays mostly learnable: within a burst the
-            // dispatcher target repeats; only burst boundaries are
-            // genuinely ambiguous.
-            const double h = std::clamp(params.hot_request_fraction,
-                                        0.0, 0.75);
-            std::size_t hot_slots = static_cast<std::size_t>(
-                fanout * h / (1.0 - h));
-            while (hot_slots > 0) {
-                const std::size_t run =
-                    std::min<std::size_t>(hot_slots, sched_rng.range(12, 24));
-                const auto hot_root = static_cast<std::uint16_t>(
-                    sched_rng.below(std::min(fanout, 8u)));
-                const auto pos = static_cast<std::ptrdiff_t>(
-                    sched_rng.below(sched.size()));
-                sched.insert(sched.begin() + pos, run, hot_root);
-                hot_slots -= run;
-            }
-        }
-        disp.blocks[2].body_instrs = 2;
-        disp.blocks[2].term = TermKind::kCondLoopBack;
-        disp.blocks[2].target_block = 0;
-        disp.blocks[2].loop_trips = 0xffff; // effectively endless
-        prog.functions_.push_back(std::move(disp));
-    }
-
-    for (std::uint32_t level = 0; level < params.levels; ++level) {
-        for (std::uint32_t i = 0; i < levels.size[level]; ++i) {
-            prog.functions_.push_back(
-                buildFunction(params, level, levels, rng));
-        }
-    }
-
-    // Lay out functions sequentially with 16-byte alignment.
+    // Every function is generated once, in id order, into one scratch
+    // function whose only use is its size; each keeps the generator
+    // state it started from so function(id) can replay it.
+    Rng rng(seed);
+    FunctionModel scratch;
     Addr cursor = kCodeBase;
-    for (auto &fn : prog.functions_) {
-        fn.entry = cursor;
-        for (auto &block : fn.blocks) {
-            block.addr = cursor;
-            cursor += block.sizeBytes();
+    buildDispatcher(params, prog.level_bounds_, seed, scratch);
+    prog.starts_.push_back(Start{rng, cursor, 0});
+    cursor = layOut(scratch, cursor);
+    for (std::uint32_t level = 0; level < params.levels; ++level) {
+        for (std::uint32_t id = prog.level_bounds_[level];
+             id < prog.level_bounds_[level + 1]; ++id) {
+            prog.starts_.push_back(Start{rng, cursor, level});
+            buildFunction(params, level, prog.level_bounds_, rng, scratch);
+            cursor = layOut(scratch, cursor);
         }
-        cursor = (cursor + 15) & ~Addr{15};
     }
     prog.code_end_ = cursor;
-    prog.code_bytes_ = cursor - kCodeBase;
     return prog;
+}
+
+FunctionModel
+ProgramModel::function(std::uint32_t id) const
+{
+    SIPRE_ASSERT(id < functionCount(), "function id out of range");
+    const Start &start = starts_[id];
+    FunctionModel fn;
+    if (id == dispatcherId()) {
+        buildDispatcher(params_, level_bounds_, seed_, fn);
+    } else {
+        Rng rng = start.rng;
+        buildFunction(params_, start.level, level_bounds_, rng, fn);
+    }
+    layOut(fn, start.entry);
+    return fn;
 }
 
 } // namespace sipre::synth

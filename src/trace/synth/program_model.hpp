@@ -10,7 +10,10 @@
  * indirect jumps, calls, returns).
  *
  * The model is built deterministically from a seed, then a separate
- * walker (see workload.hpp) executes it to emit a dynamic trace.
+ * walker (see workload.hpp) executes it to emit a dynamic trace. The
+ * model itself is only a layout skeleton: a walker builds each function
+ * when it first enters it, so a short trace pays only for the few
+ * functions it reaches.
  */
 #ifndef SIPRE_TRACE_SYNTH_PROGRAM_MODEL_HPP
 #define SIPRE_TRACE_SYNTH_PROGRAM_MODEL_HPP
@@ -134,25 +137,37 @@ struct ProgramParams
 };
 
 /**
- * A complete static program: function 0 is the dispatcher (an infinite
- * loop indirect-calling level-0 functions); the rest form the call DAG.
+ * A static program: function 0 is the dispatcher (an infinite loop
+ * indirect-calling level-0 functions); the rest form the call DAG.
+ *
+ * build() runs the generator over every function once, to lay the code
+ * out, but keeps per function only what rebuilding it takes: the
+ * generator state it started from, its level and its entry address.
+ * function(id) replays that state through the same generator, so it
+ * returns exactly the function an eager build of the whole program
+ * would have held.
  */
 class ProgramModel
 {
   public:
-    /** Build a program deterministically from params and a seed. */
+    /** Lay a program out deterministically from params and a seed. */
     static ProgramModel build(const ProgramParams &params,
                               std::uint64_t seed);
 
-    const std::vector<FunctionModel> &functions() const { return functions_; }
-    const FunctionModel &function(std::uint32_t id) const
+    /** Functions in the program, the dispatcher included. */
+    std::uint32_t
+    functionCount() const
     {
-        return functions_[id];
+        return static_cast<std::uint32_t>(starts_.size());
     }
+
+    /** Build function `id`, its blocks laid out from its entry. */
+    FunctionModel function(std::uint32_t id) const;
+
     std::uint32_t dispatcherId() const { return 0; }
 
     /** Total static code size in bytes (the "binary size"). */
-    std::uint64_t codeBytes() const { return code_bytes_; }
+    std::uint64_t codeBytes() const { return code_end_ - kCodeBase; }
 
     /** First address past the code segment. */
     Addr codeEnd() const { return code_end_; }
@@ -160,8 +175,19 @@ class ProgramModel
     static constexpr Addr kCodeBase = 0x400000;
 
   private:
-    std::vector<FunctionModel> functions_;
-    std::uint64_t code_bytes_ = 0;
+    /** What function(id) replays to rebuild one function. */
+    struct Start
+    {
+        Rng rng;                 ///< generator state before its first draw
+        Addr entry = 0;
+        std::uint32_t level = 0;
+    };
+
+    ProgramParams params_;
+    std::uint64_t seed_ = 0;
+    /** Function ids of level l are [level_bounds_[l], level_bounds_[l+1]). */
+    std::vector<std::uint32_t> level_bounds_;
+    std::vector<Start> starts_;
     Addr code_end_ = kCodeBase;
 };
 

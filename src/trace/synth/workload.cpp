@@ -2,6 +2,7 @@
 
 #include <array>
 #include <functional>
+#include <memory>
 
 #include "util/bits.hpp"
 #include "util/logging.hpp"
@@ -164,12 +165,25 @@ cvp1LikeSuite(std::size_t max_workloads)
     return suite;
 }
 
+const WorkloadSpec *
+findWorkload(std::string_view name)
+{
+    static const std::vector<WorkloadSpec> suite = cvp1LikeSuite();
+    for (const WorkloadSpec &spec : suite) {
+        if (spec.name == name)
+            return &spec;
+    }
+    return nullptr;
+}
+
 namespace
 {
 
 /**
  * The dynamic walker: executes the static program model, emitting one
- * TraceInstruction per simulated instruction.
+ * TraceInstruction per simulated instruction. It builds each function
+ * the first time control enters it, so a short walk never builds the
+ * thousands of functions it does not reach.
  */
 class Walker
 {
@@ -177,15 +191,9 @@ class Walker
     Walker(const WorkloadSpec &spec, const ProgramModel &prog)
         : spec_(spec), prog_(prog), rng_(spec.seed ^ 0x77a1ce5ULL)
     {
-        // Flatten block indices for per-site visit counters.
-        std::uint32_t idx = 0;
-        site_base_.reserve(prog.functions().size());
-        for (const auto &fn : prog.functions()) {
-            site_base_.push_back(idx);
-            idx += static_cast<std::uint32_t>(fn.blocks.size());
-        }
-        visits_.assign(idx, 0);
-        global_cursor_.assign(prog.functions().size(), 0);
+        entered_.resize(prog.functionCount());
+        global_cursor_.assign(prog.functionCount(), 0);
+        enter(prog.dispatcherId());
         frames_.push_back(Frame{prog.dispatcherId(), 0});
     }
 
@@ -207,12 +215,24 @@ class Walker
         std::uint32_t block;
     };
 
-    const FunctionModel &fn(std::uint32_t id) { return prog_.function(id); }
-
-    std::uint32_t
-    siteIndex(std::uint32_t fn_id, std::uint32_t block) const
+    /** A function control has entered, with per-block visit counters. */
+    struct Entered
     {
-        return site_base_[fn_id] + block;
+        FunctionModel model;
+        std::vector<std::uint32_t> visits;
+    };
+
+    /** Function `id`, built on its first entry. */
+    Entered &
+    enter(std::uint32_t id)
+    {
+        std::unique_ptr<Entered> &slot = entered_[id];
+        if (slot == nullptr) {
+            slot = std::make_unique<Entered>();
+            slot->model = prog_.function(id);
+            slot->visits.assign(slot->model.blocks.size(), 0);
+        }
+        return *slot;
     }
 
     /** Statically-fixed per-PC properties derived by hashing. */
@@ -287,7 +307,8 @@ class Walker
     step(Trace &trace, std::size_t budget)
     {
         Frame &frame = frames_.back();
-        const FunctionModel &f = fn(frame.fn);
+        Entered &entered = *entered_[frame.fn];
+        const FunctionModel &f = entered.model;
         const BlockModel &b = f.blocks[frame.block];
         const std::uint32_t fn_id = frame.fn;
         const std::uint32_t block_id = frame.block;
@@ -299,7 +320,7 @@ class Walker
         if (trace.size() >= budget)
             return;
 
-        const std::uint32_t visit = visits_[siteIndex(fn_id, block_id)]++;
+        const std::uint32_t visit = entered.visits[block_id]++;
         const Addr term_pc = b.addr + Addr{b.body_instrs} * 4;
 
         switch (b.term) {
@@ -362,7 +383,7 @@ class Walker
             emitBranch(trace, term_pc,
                        b.term == TermKind::kCall ? InstClass::kCall
                                                  : InstClass::kIndirectCall,
-                       true, fn(callee).entry);
+                       true, enter(callee).model.entry);
             // Resume at the next block of the caller after the return.
             frame.block = block_id + 1;
             frames_.push_back(Frame{callee, 0});
@@ -373,7 +394,7 @@ class Walker
                          "return underflow: dispatcher never returns");
             frames_.pop_back();
             const Frame &caller = frames_.back();
-            const FunctionModel &cf = fn(caller.fn);
+            const FunctionModel &cf = entered_[caller.fn]->model;
             emitBranch(trace, term_pc, InstClass::kReturn, true,
                        cf.blocks[caller.block].addr);
             return;
@@ -403,8 +424,8 @@ class Walker
     const ProgramModel &prog_;
     Rng rng_;
     std::vector<Frame> frames_;
-    std::vector<std::uint32_t> site_base_;
-    std::vector<std::uint32_t> visits_;
+    /** By function id; null until control first enters the function. */
+    std::vector<std::unique_ptr<Entered>> entered_;
     std::vector<Addr> global_cursor_;
 };
 

@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "trace/synth/program_model.hpp"
@@ -60,8 +61,15 @@ std::vector<WorkloadSpec> cvp1LikeSuite();
 std::vector<WorkloadSpec> cvp1LikeSuite(std::size_t max_workloads);
 
 /**
+ * The suite workload called `name`, or null if there is none. Points
+ * into one immutable copy of the suite, built on the first call.
+ */
+const WorkloadSpec *findWorkload(std::string_view name);
+
+/**
  * Execute the program model to emit a dynamic trace of exactly
- * num_instructions instructions (the trace may end mid-block).
+ * num_instructions instructions (the trace may end mid-block). Only the
+ * functions the trace enters are built, and nothing outlives the call.
  */
 Trace generateTrace(const WorkloadSpec &spec, std::size_t num_instructions);
 

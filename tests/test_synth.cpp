@@ -1,9 +1,15 @@
 /**
  * @file
  * Tests for the synthetic workload generator: program-model structural
- * invariants, trace validity and determinism across all archetypes, and
- * the paper's L1-I MPKI band (2-28) property.
+ * invariants, trace validity and determinism across all archetypes, the
+ * paper's L1-I MPKI band (2-28) property, and the whole suite's programs
+ * and traces pinned to committed digests.
  */
+#include <bit>
+#include <cstdio>
+#include <fstream>
+#include <map>
+#include <sstream>
 #include <unordered_set>
 
 #include <gtest/gtest.h>
@@ -36,7 +42,8 @@ TEST(ProgramModel, LayoutIsContiguousAndSorted)
 {
     const auto prog = ProgramModel::build(smallParams(), 1);
     Addr prev_end = ProgramModel::kCodeBase;
-    for (const auto &fn : prog.functions()) {
+    for (std::uint32_t id = 0; id < prog.functionCount(); ++id) {
+        const FunctionModel fn = prog.function(id);
         EXPECT_GE(fn.entry, prev_end);
         Addr cursor = fn.entry;
         for (const auto &block : fn.blocks) {
@@ -52,11 +59,11 @@ TEST(ProgramModel, LayoutIsContiguousAndSorted)
 TEST(ProgramModel, CalleesAreStrictlyDeeper)
 {
     const auto prog = ProgramModel::build(smallParams(), 2);
-    for (std::size_t id = 1; id < prog.functions().size(); ++id) {
-        const auto &fn = prog.functions()[id];
+    for (std::uint32_t id = 1; id < prog.functionCount(); ++id) {
+        const FunctionModel fn = prog.function(id);
         for (const auto &block : fn.blocks) {
             for (const auto callee : block.callees) {
-                ASSERT_LT(callee, prog.functions().size());
+                ASSERT_LT(callee, prog.functionCount());
                 EXPECT_GT(prog.function(callee).level, fn.level)
                     << "call DAG must be acyclic by level";
             }
@@ -67,7 +74,8 @@ TEST(ProgramModel, CalleesAreStrictlyDeeper)
 TEST(ProgramModel, LeafLevelHasNoCalls)
 {
     const auto prog = ProgramModel::build(smallParams(), 3);
-    for (const auto &fn : prog.functions()) {
+    for (std::uint32_t id = 0; id < prog.functionCount(); ++id) {
+        const FunctionModel fn = prog.function(id);
         if (fn.level + 1 < 3)
             continue;
         for (const auto &block : fn.blocks) {
@@ -80,7 +88,8 @@ TEST(ProgramModel, LeafLevelHasNoCalls)
 TEST(ProgramModel, ForwardTargetsStayInFunction)
 {
     const auto prog = ProgramModel::build(smallParams(), 4);
-    for (const auto &fn : prog.functions()) {
+    for (std::uint32_t id = 0; id < prog.functionCount(); ++id) {
+        const FunctionModel fn = prog.function(id);
         for (std::size_t i = 0; i < fn.blocks.size(); ++i) {
             const auto &block = fn.blocks[i];
             if (block.term == TermKind::kCondForward ||
@@ -101,7 +110,8 @@ TEST(ProgramModel, ForwardTargetsStayInFunction)
 TEST(ProgramModel, SchedulesIndexValidTargets)
 {
     const auto prog = ProgramModel::build(smallParams(), 5);
-    for (const auto &fn : prog.functions()) {
+    for (std::uint32_t id = 0; id < prog.functionCount(); ++id) {
+        const FunctionModel fn = prog.function(id);
         for (const auto &block : fn.blocks) {
             const std::size_t universe =
                 block.term == TermKind::kIndirectJump
@@ -117,12 +127,12 @@ TEST(ProgramModel, DeterministicFromSeed)
 {
     const auto a = ProgramModel::build(smallParams(), 42);
     const auto b = ProgramModel::build(smallParams(), 42);
-    ASSERT_EQ(a.functions().size(), b.functions().size());
+    ASSERT_EQ(a.functionCount(), b.functionCount());
     EXPECT_EQ(a.codeBytes(), b.codeBytes());
-    for (std::size_t i = 0; i < a.functions().size(); ++i) {
-        EXPECT_EQ(a.functions()[i].entry, b.functions()[i].entry);
-        EXPECT_EQ(a.functions()[i].blocks.size(),
-                  b.functions()[i].blocks.size());
+    for (std::uint32_t id = 0; id < a.functionCount(); ++id) {
+        EXPECT_EQ(a.function(id).entry, b.function(id).entry);
+        EXPECT_EQ(a.function(id).blocks.size(),
+                  b.function(id).blocks.size());
     }
 }
 
@@ -134,8 +144,8 @@ TEST(ProgramModel, PyramidShrinksLevels)
     p.level_shrink = 2.0;
     const auto prog = ProgramModel::build(p, 6);
     std::array<std::size_t, 3> per_level{};
-    for (std::size_t id = 1; id < prog.functions().size(); ++id)
-        ++per_level[prog.functions()[id].level];
+    for (std::uint32_t id = 1; id < prog.functionCount(); ++id)
+        ++per_level[prog.function(id).level];
     EXPECT_EQ(per_level[0], 64u);
     EXPECT_EQ(per_level[1], 32u);
     EXPECT_EQ(per_level[2], 16u);
@@ -194,6 +204,20 @@ TEST(WorkloadSuite, Has48NamedWorkloads)
     for (const auto &spec : suite)
         names.insert(spec.name);
     EXPECT_EQ(names.size(), 48u) << "names must be unique";
+}
+
+TEST(WorkloadSuite, FindWorkloadByName)
+{
+    for (const auto &spec : cvp1LikeSuite()) {
+        const WorkloadSpec *found = findWorkload(spec.name);
+        ASSERT_NE(found, nullptr) << spec.name;
+        EXPECT_EQ(found->name, spec.name);
+        EXPECT_EQ(found->seed, spec.seed);
+        EXPECT_EQ(findWorkload(spec.name), found) << "one immutable suite";
+    }
+    EXPECT_EQ(findWorkload(""), nullptr);
+    EXPECT_EQ(findWorkload("secret_srv"), nullptr);
+    EXPECT_EQ(findWorkload("secret_srv12 "), nullptr);
 }
 
 TEST(WorkloadSuite, TruncatedSuite)
@@ -285,6 +309,151 @@ TEST_P(MpkiBandTest, WithinPaperBand)
 INSTANTIATE_TEST_SUITE_P(Sampled, MpkiBandTest,
                          ::testing::Values(0, 1, 4, 10, 16, 24, 32, 40,
                                            47));
+
+// ----------------------------------------------------------- pinned output
+
+/** FNV-1a 64 over the little-endian bytes of every value fed to it. */
+class Fnv
+{
+  public:
+    template <typename T>
+    void
+    add(T value)
+    {
+        static_assert(std::is_integral_v<T> || std::is_enum_v<T>);
+        const auto v = static_cast<std::uint64_t>(value);
+        for (std::size_t i = 0; i < sizeof(T); ++i) {
+            hash_ ^= (v >> (8 * i)) & 0xff;
+            hash_ *= 0x100000001b3ULL;
+        }
+    }
+
+    template <typename T>
+    void
+    addAll(const std::vector<T> &values)
+    {
+        add(values.size());
+        for (const T v : values)
+            add(v);
+    }
+
+    std::uint64_t value() const { return hash_; }
+
+  private:
+    std::uint64_t hash_ = 0xcbf29ce484222325ULL;
+};
+
+/** Every function's entry and level and every block's fields. */
+std::uint64_t
+programDigest(const ProgramModel &prog)
+{
+    Fnv h;
+    h.add(prog.functionCount());
+    h.add(prog.codeBytes());
+    h.add(prog.codeEnd());
+    for (std::uint32_t id = 0; id < prog.functionCount(); ++id) {
+        const FunctionModel fn = prog.function(id);
+        h.add(fn.entry);
+        h.add(fn.level);
+        h.add(fn.blocks.size());
+        for (const BlockModel &b : fn.blocks) {
+            h.add(b.addr);
+            h.add(b.body_instrs);
+            h.add(b.term);
+            h.add(b.target_block);
+            h.addAll(b.multi_targets);
+            h.addAll(b.callees);
+            h.add(b.pattern_period);
+            h.add(b.pattern_taken);
+            h.add(std::bit_cast<std::uint64_t>(b.noise));
+            h.add(b.loop_trips);
+            h.addAll(b.schedule);
+        }
+    }
+    return h.value();
+}
+
+/** Every field of every instruction, plus the trace's seed. */
+std::uint64_t
+traceDigest(const Trace &trace)
+{
+    Fnv h;
+    h.add(trace.seed());
+    h.add(trace.size());
+    for (const TraceInstruction &inst : trace) {
+        h.add(inst.pc);
+        h.add(inst.target);
+        h.add(inst.mem_addr);
+        h.add(inst.cls);
+        h.add(inst.size);
+        h.add(inst.taken);
+        h.add(inst.dst);
+        h.add(inst.src[0]);
+        h.add(inst.src[1]);
+    }
+    return h.value();
+}
+
+std::string
+hex(std::uint64_t v)
+{
+    char buf[17];
+    std::snprintf(buf, sizeof(buf), "%016llx",
+                  static_cast<unsigned long long>(v));
+    return buf;
+}
+
+// The synthesizer's output for the whole suite, pinned to
+// tests/data/synth_digests.txt: each workload's program and its traces
+// at 3,000 and 200,000 instructions. On a mismatch the digests this
+// build computed are written to synth_digests.actual.txt in the
+// working directory; copy that file over the committed one only when
+// the change in the synthesized workloads is intended.
+TEST(WorkloadSuite, ProgramsAndTracesMatchPinnedDigests)
+{
+    std::map<std::string, std::string> expected;
+    std::ifstream in(SIPRE_TEST_DATA_DIR "/synth_digests.txt");
+    ASSERT_TRUE(in) << "missing tests/data/synth_digests.txt";
+    for (std::string line; std::getline(in, line);) {
+        if (line.empty() || line[0] == '#')
+            continue;
+        std::istringstream fields(line);
+        std::string name;
+        fields >> name;
+        std::getline(fields, expected[name]);
+    }
+
+    std::ostringstream actual;
+    bool mismatch = false;
+    const auto suite = cvp1LikeSuite();
+    for (const WorkloadSpec &spec : suite) {
+        std::ostringstream row;
+        row << " "
+            << hex(programDigest(ProgramModel::build(spec.program, spec.seed)))
+            << " " << hex(traceDigest(generateTrace(spec, 3'000))) << " "
+            << hex(traceDigest(generateTrace(spec, 200'000)));
+        const std::string digests = row.str();
+        actual << spec.name << digests << "\n";
+        const auto it = expected.find(spec.name);
+        if (it == expected.end() || it->second != digests) {
+            mismatch = true;
+            if (it == expected.end())
+                ADD_FAILURE() << "workload " << spec.name
+                              << ": has no digest";
+            else
+                ADD_FAILURE() << "workload " << spec.name
+                              << ": program or trace changed (expected"
+                              << it->second << ", got" << digests << ")";
+        }
+    }
+    EXPECT_EQ(expected.size(), suite.size())
+        << "the digest file pins a different suite";
+    if (mismatch) {
+        std::ofstream("synth_digests.actual.txt") << actual.str();
+        ADD_FAILURE() << "computed digests written to "
+                         "synth_digests.actual.txt";
+    }
+}
 
 } // namespace
 } // namespace sipre::synth

@@ -478,15 +478,41 @@ TEST(TraceObs, ConcurrentRequestsKeepSpanNestingDiscipline)
     const std::vector<SpanCopy> spans = snapshotSpans();
     ASSERT_FALSE(spans.empty());
 
-    std::size_t http_spans = 0, submit_spans = 0, run_spans = 0;
+    std::size_t http_spans = 0, submit_spans = 0, synth_spans = 0,
+                run_spans = 0;
     for (const SpanCopy &span : spans) {
         http_spans += span.name == "http.request";
         submit_spans += span.name == "engine.submit";
+        synth_spans += span.name == "trace.synth";
         run_spans += span.name == "sim.run";
     }
     EXPECT_EQ(http_spans, 4u);
     EXPECT_EQ(submit_spans, 4u);
+    EXPECT_EQ(synth_spans, 4u);
     EXPECT_EQ(run_spans, 4u);
+
+    // Each fresh request shows trace synthesis inside its worker's
+    // engine.simulate span, finished before that span's sim.run starts.
+    auto within = [](const SpanCopy &inner, const SpanCopy &outer) {
+        return inner.tid == outer.tid && outer.ts_ns <= inner.ts_ns &&
+               inner.ts_ns + inner.dur_ns <= outer.ts_ns + outer.dur_ns;
+    };
+    for (const SpanCopy &simulate : spans) {
+        if (simulate.name != "engine.simulate")
+            continue;
+        const SpanCopy *synth = nullptr;
+        const SpanCopy *run = nullptr;
+        for (const SpanCopy &span : spans) {
+            if (span.name == "trace.synth" && within(span, simulate))
+                synth = &span;
+            if (span.name == "sim.run" && within(span, simulate))
+                run = &span;
+        }
+        ASSERT_NE(synth, nullptr) << "engine.simulate without trace.synth";
+        ASSERT_NE(run, nullptr) << "engine.simulate without sim.run";
+        EXPECT_LE(synth->ts_ns + synth->dur_ns, run->ts_ns)
+            << "trace.synth must end before sim.run starts";
+    }
 
     // Per-thread stack discipline: on one thread, two spans either nest
     // or are disjoint — partial overlap means the recorder attributed

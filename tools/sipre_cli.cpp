@@ -334,15 +334,10 @@ main(int argc, char **argv)
             return 1;
         }
     } else {
-        const auto suite = synth::cvp1LikeSuite();
         const std::vector<std::string> names =
             mix.empty() ? std::vector<std::string>(cores, workload) : mix;
         for (const std::string &name : names) {
-            const synth::WorkloadSpec *spec = nullptr;
-            for (const auto &s : suite) {
-                if (s.name == name)
-                    spec = &s;
-            }
+            const synth::WorkloadSpec *spec = synth::findWorkload(name);
             if (spec == nullptr) {
                 std::fprintf(stderr,
                              "error: unknown workload %s (try --list)\n",
