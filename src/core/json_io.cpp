@@ -374,19 +374,6 @@ jsonUIntArray(const std::vector<std::uint64_t> &items)
     return out;
 }
 
-std::string
-jsonBoolArray(const std::vector<bool> &items)
-{
-    std::string out = "[";
-    for (std::size_t i = 0; i < items.size(); ++i) {
-        if (i != 0)
-            out += ',';
-        out += items[i] ? "true" : "false";
-    }
-    out += ']';
-    return out;
-}
-
 // ------------------------------------------------------------ serializers
 
 namespace

@@ -79,7 +79,6 @@ bool jsonToUint(const JsonValue &value, std::uint64_t &out);
 // Escaping and numeric formatting match the scalar helpers above.
 std::string jsonStringArray(const std::vector<std::string> &items);
 std::string jsonUIntArray(const std::vector<std::uint64_t> &items);
-std::string jsonBoolArray(const std::vector<bool> &items);
 
 // ------------------------------------------------------------ serializers
 

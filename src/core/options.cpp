@@ -5,117 +5,125 @@
 namespace sipre
 {
 
+constexpr EnumName kSimModeNames[5] = {
+    {"base", SimMode::kBase},         {"asmdb", SimMode::kAsmdb},
+    {"noovh", SimMode::kNoOverhead},  {"metadata", SimMode::kMetadata},
+    {"feedback", SimMode::kFeedback},
+};
+
+constexpr EnumName kPredictorNames[5] = {
+    {"perceptron", DirectionPredictorKind::kHashedPerceptron},
+    {"tage", DirectionPredictorKind::kTageLite},
+    {"gshare", DirectionPredictorKind::kGshare},
+    {"bimodal", DirectionPredictorKind::kBimodal},
+    {"local", DirectionPredictorKind::kLocal},
+};
+
+constexpr EnumName kHwPrefetcherNames[6] = {
+    {"none", IPrefetcherKind::kNone}, {"nextline", IPrefetcherKind::kNextLine},
+    {"eip", IPrefetcherKind::kEipLite}, {"fdip", IPrefetcherKind::kFdip},
+    {"mana", IPrefetcherKind::kMana}, {"fdip+mana", IPrefetcherKind::kFdipMana},
+};
+
+constexpr EnumName kDistanceProviderNames[3] = {
+    {"static", DistanceProviderKind::kStatic},
+    {"profile", DistanceProviderKind::kProfile},
+    {"adaptive", DistanceProviderKind::kAdaptive},
+};
+
+namespace
+{
+
+template <typename Enum>
+std::optional<Enum>
+parseAs(std::span<const EnumName> names, std::string_view name)
+{
+    const auto value = parseEnumName(names, name);
+    if (!value)
+        return std::nullopt;
+    return static_cast<Enum>(*value);
+}
+
+} // namespace
+
+const char *
+enumName(std::span<const EnumName> names, std::uint8_t value)
+{
+    for (const EnumName &entry : names) {
+        if (entry.value == value)
+            return entry.name;
+    }
+    return names.front().name;
+}
+
+std::optional<std::uint8_t>
+parseEnumName(std::span<const EnumName> names, std::string_view name)
+{
+    for (const EnumName &entry : names) {
+        if (name == entry.name)
+            return entry.value;
+    }
+    return std::nullopt;
+}
+
+std::string
+enumChoices(std::span<const EnumName> names)
+{
+    std::string out;
+    for (const EnumName &entry : names) {
+        if (!out.empty())
+            out += '|';
+        out += entry.name;
+    }
+    return out;
+}
+
 const char *
 simModeName(SimMode mode)
 {
-    switch (mode) {
-    case SimMode::kBase: return "base";
-    case SimMode::kAsmdb: return "asmdb";
-    case SimMode::kNoOverhead: return "noovh";
-    case SimMode::kMetadata: return "metadata";
-    case SimMode::kFeedback: return "feedback";
-    }
-    return "base";
+    return enumName(kSimModeNames, static_cast<std::uint8_t>(mode));
 }
 
 std::optional<SimMode>
 parseSimMode(std::string_view name)
 {
-    if (name == "base")
-        return SimMode::kBase;
-    if (name == "asmdb")
-        return SimMode::kAsmdb;
-    if (name == "noovh")
-        return SimMode::kNoOverhead;
-    if (name == "metadata")
-        return SimMode::kMetadata;
-    if (name == "feedback")
-        return SimMode::kFeedback;
-    return std::nullopt;
+    return parseAs<SimMode>(kSimModeNames, name);
 }
 
 const char *
 predictorName(DirectionPredictorKind kind)
 {
-    switch (kind) {
-    case DirectionPredictorKind::kHashedPerceptron: return "perceptron";
-    case DirectionPredictorKind::kTageLite: return "tage";
-    case DirectionPredictorKind::kGshare: return "gshare";
-    case DirectionPredictorKind::kBimodal: return "bimodal";
-    case DirectionPredictorKind::kLocal: return "local";
-    }
-    return "perceptron";
+    return enumName(kPredictorNames, static_cast<std::uint8_t>(kind));
 }
 
 std::optional<DirectionPredictorKind>
 parsePredictor(std::string_view name)
 {
-    if (name == "perceptron")
-        return DirectionPredictorKind::kHashedPerceptron;
-    if (name == "tage")
-        return DirectionPredictorKind::kTageLite;
-    if (name == "gshare")
-        return DirectionPredictorKind::kGshare;
-    if (name == "bimodal")
-        return DirectionPredictorKind::kBimodal;
-    if (name == "local")
-        return DirectionPredictorKind::kLocal;
-    return std::nullopt;
+    return parseAs<DirectionPredictorKind>(kPredictorNames, name);
 }
 
 const char *
 hwPrefetcherName(IPrefetcherKind kind)
 {
-    switch (kind) {
-    case IPrefetcherKind::kNone: return "none";
-    case IPrefetcherKind::kNextLine: return "nextline";
-    case IPrefetcherKind::kEipLite: return "eip";
-    case IPrefetcherKind::kFdip: return "fdip";
-    case IPrefetcherKind::kMana: return "mana";
-    case IPrefetcherKind::kFdipMana: return "fdip+mana";
-    }
-    return "none";
+    return enumName(kHwPrefetcherNames, static_cast<std::uint8_t>(kind));
 }
 
 std::optional<IPrefetcherKind>
 parseHwPrefetcher(std::string_view name)
 {
-    if (name == "none")
-        return IPrefetcherKind::kNone;
-    if (name == "nextline")
-        return IPrefetcherKind::kNextLine;
-    if (name == "eip")
-        return IPrefetcherKind::kEipLite;
-    if (name == "fdip")
-        return IPrefetcherKind::kFdip;
-    if (name == "mana")
-        return IPrefetcherKind::kMana;
-    if (name == "fdip+mana")
-        return IPrefetcherKind::kFdipMana;
-    return std::nullopt;
+    return parseAs<IPrefetcherKind>(kHwPrefetcherNames, name);
 }
 
 const char *
 distanceProviderName(DistanceProviderKind kind)
 {
-    switch (kind) {
-    case DistanceProviderKind::kStatic: return "static";
-    case DistanceProviderKind::kProfile: return "profile";
-    case DistanceProviderKind::kAdaptive: return "adaptive";
-    }
-    return "static";
+    return enumName(kDistanceProviderNames, static_cast<std::uint8_t>(kind));
 }
 
 std::optional<DistanceProviderKind>
 parseDistanceProvider(std::string_view name)
 {
-    if (name == "static")
-        return DistanceProviderKind::kStatic;
-    if (name == "profile")
-        return DistanceProviderKind::kProfile;
-    if (name == "adaptive")
-        return DistanceProviderKind::kAdaptive;
-    return std::nullopt;
+    return parseAs<DistanceProviderKind>(kDistanceProviderNames, name);
 }
 
 std::optional<std::uint64_t>

@@ -9,7 +9,10 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
+#include <string>
 #include <string_view>
+#include <type_traits>
 
 #include "branch/direction_predictor.hpp"
 #include "memory/iprefetcher.hpp"
@@ -40,15 +43,40 @@ enum class DistanceProviderKind : std::uint8_t {
     kAdaptive, ///< per-target tuning against Scenario-2 occupancy
 };
 
-/** Pipe-separated valid values, for error messages and usage text. */
-inline constexpr const char *kSimModeChoices =
-    "base|asmdb|noovh|metadata|feedback";
-inline constexpr const char *kPredictorChoices =
-    "perceptron|tage|gshare|bimodal|local";
-inline constexpr const char *kHwPrefetcherChoices =
-    "none|nextline|eip|fdip|mana|fdip+mana";
-inline constexpr const char *kDistanceProviderChoices =
-    "static|profile|adaptive";
+/**
+ * One canonical spelling of an enum value. The value is kept as the
+ * enum's underlying byte so one array type serves every enum; each
+ * enum's names live in one array in options.cpp, listed in the order
+ * usage text and error messages show them.
+ */
+struct EnumName
+{
+    template <typename Enum>
+        requires std::is_enum_v<Enum>
+    constexpr EnumName(const char *spelling, Enum enumerator)
+        : name(spelling), value(static_cast<std::uint8_t>(enumerator))
+    {
+    }
+
+    const char *name;
+    std::uint8_t value;
+};
+
+/** Each enum's names. A bound that differs from its array fails to compile. */
+extern const EnumName kSimModeNames[5];
+extern const EnumName kPredictorNames[5];
+extern const EnumName kHwPrefetcherNames[6];
+extern const EnumName kDistanceProviderNames[3];
+
+/** The name of `value` in `names`; the first name when it has none. */
+const char *enumName(std::span<const EnumName> names, std::uint8_t value);
+
+/** The value spelled `name` in `names`; nullopt on an unknown name. */
+std::optional<std::uint8_t> parseEnumName(std::span<const EnumName> names,
+                                          std::string_view name);
+
+/** Every name, pipe-separated ("a|b|c"), for errors and usage text. */
+std::string enumChoices(std::span<const EnumName> names);
 
 /** Canonical name of a mode (inverse of parseSimMode). */
 const char *simModeName(SimMode mode);

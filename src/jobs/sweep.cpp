@@ -8,14 +8,27 @@
 namespace sipre::jobs
 {
 
+using service::Knob;
+using service::kKnobCount;
+using service::kKnobs;
+
+KnobAxes
+defaultKnobAxes()
+{
+    const service::SimRequest defaults;
+    KnobAxes axes;
+    for (std::size_t i = 0; i < kKnobCount; ++i)
+        axes[i] = {kKnobs[i].get(defaults)};
+    return axes;
+}
+
 std::size_t
 SweepSpec::shardCount() const
 {
-    const std::size_t workload_dim = mix.empty() ? workloads.size() : 1;
-    return workload_dim * cores.size() * ftq.size() * modes.size() *
-           predictors.size() * hw_prefetchers.size() * pfc.size() *
-           ghr_filter.size() * wrong_path.size() *
-           distance_providers.size();
+    std::size_t count = (mix.empty() ? workloads.size() : 1) * cores.size();
+    for (const auto &axis : axes)
+        count *= axis.size();
+    return count;
 }
 
 namespace
@@ -57,6 +70,37 @@ parseAxis(const std::string &field, const JsonValue &value,
     return add(value);
 }
 
+/** Knob indices in sweep nesting order, outermost first. */
+std::array<std::size_t, kKnobCount>
+sweepOrder()
+{
+    std::array<std::size_t, kKnobCount> order{};
+    for (std::size_t i = 0; i < kKnobCount; ++i)
+        order[kKnobs[i].sweep_depth] = i;
+    return order;
+}
+
+/**
+ * Append `request` under every combination of the knobs at sweep
+ * positions `depth` and deeper, innermost varying fastest.
+ */
+void
+expandKnobs(const SweepSpec &spec,
+            const std::array<std::size_t, kKnobCount> &order,
+            std::size_t depth, service::SimRequest &request,
+            std::vector<service::SimRequest> &shards)
+{
+    if (depth == kKnobCount) {
+        shards.push_back(request);
+        return;
+    }
+    const std::size_t k = order[depth];
+    for (const std::uint32_t value : spec.axes[k]) {
+        kKnobs[k].set(request, value);
+        expandKnobs(spec, order, depth + 1, request, shards);
+    }
+}
+
 } // namespace
 
 bool
@@ -74,7 +118,6 @@ parseSweepSpec(const std::string &body, SweepSpec &out, std::string &error)
 
     out = SweepSpec{};
     bool have_workloads = false;
-    bool have_mix = false;
     bool have_cores = false;
     for (const auto &[key, value] : doc.object) {
         if (key == "workloads") {
@@ -99,158 +142,36 @@ parseSweepSpec(const std::string &body, SweepSpec &out, std::string &error)
                     error))
                 return false;
         } else if (key == "mix") {
-            have_mix = true;
             // Duplicates are legitimate here (a mix can co-run two
             // copies of one workload next to a third), so this does
             // not go through parseAxis.
-            if (!value.isArray() || value.array.empty() ||
-                value.array.size() > service::kMaxCores) {
-                error = "field 'mix' must be an array of 1 to " +
-                        std::to_string(service::kMaxCores) +
-                        " workload names";
+            if (!service::readMix(value, out.mix, error))
                 return false;
-            }
-            out.mix.clear();
-            for (const auto &element : value.array) {
-                if (!element.isString()) {
-                    error = "field 'mix' must be an array of workload "
-                            "names";
-                    return false;
-                }
-                out.mix.push_back(element.string);
-            }
         } else if (key == "cores") {
             have_cores = true;
             if (!parseAxis(
                     key, value, out.cores,
                     [&](const JsonValue &v, std::uint32_t &n_cores) {
                         std::uint64_t n = 0;
-                        if (!jsonToUint(v, n) || n < 1 ||
-                            n > service::kMaxCores) {
-                            error = "field 'cores' values must be "
-                                    "integers in [1, " +
-                                    std::to_string(service::kMaxCores) +
-                                    "]";
+                        if (!service::readCount(v, key, 1,
+                                                service::kMaxCores, n,
+                                                error))
                             return false;
-                        }
                         n_cores = static_cast<std::uint32_t>(n);
                         return true;
                     },
                     error))
                 return false;
         } else if (key == "instructions") {
-            std::uint64_t n = 0;
-            if (!jsonToUint(value, n)) {
-                error =
-                    "field 'instructions' must be a non-negative integer";
+            if (!service::readCount(value, key, service::kMinInstructions,
+                                    service::kMaxInstructions,
+                                    out.instructions, error))
                 return false;
-            }
-            if (n < service::kMinInstructions ||
-                n > service::kMaxInstructions) {
-                error = "field 'instructions' out of range [" +
-                        std::to_string(service::kMinInstructions) + ", " +
-                        std::to_string(service::kMaxInstructions) + "]";
-                return false;
-            }
-            out.instructions = n;
-        } else if (key == "ftq") {
+        } else if (const Knob *knob = service::findKnob(key)) {
             if (!parseAxis(
-                    key, value, out.ftq,
-                    [&](const JsonValue &v, std::uint32_t &depth) {
-                        std::uint64_t n = 0;
-                        if (!jsonToUint(v, n) ||
-                            n < service::kMinFtqEntries ||
-                            n > service::kMaxFtqEntries) {
-                            error =
-                                "field 'ftq' values must be integers in "
-                                "[" +
-                                std::to_string(service::kMinFtqEntries) +
-                                ", " +
-                                std::to_string(service::kMaxFtqEntries) +
-                                "]";
-                            return false;
-                        }
-                        depth = static_cast<std::uint32_t>(n);
-                        return true;
-                    },
-                    error))
-                return false;
-        } else if (key == "mode") {
-            if (!parseAxis(
-                    key, value, out.modes,
-                    [&](const JsonValue &v, SimMode &mode) {
-                        if (!v.isString() || !parseSimMode(v.string)) {
-                            error = "field 'mode' values must be one of " +
-                                    std::string(kSimModeChoices);
-                            return false;
-                        }
-                        mode = *parseSimMode(v.string);
-                        return true;
-                    },
-                    error))
-                return false;
-        } else if (key == "predictor") {
-            if (!parseAxis(
-                    key, value, out.predictors,
-                    [&](const JsonValue &v, DirectionPredictorKind &kind) {
-                        if (!v.isString() || !parsePredictor(v.string)) {
-                            error =
-                                "field 'predictor' values must be one of " +
-                                std::string(kPredictorChoices);
-                            return false;
-                        }
-                        kind = *parsePredictor(v.string);
-                        return true;
-                    },
-                    error))
-                return false;
-        } else if (key == "hw_prefetcher") {
-            if (!parseAxis(
-                    key, value, out.hw_prefetchers,
-                    [&](const JsonValue &v, IPrefetcherKind &kind) {
-                        if (!v.isString() || !parseHwPrefetcher(v.string)) {
-                            error = "field 'hw_prefetcher' values must be "
-                                    "one of " +
-                                    std::string(kHwPrefetcherChoices);
-                            return false;
-                        }
-                        kind = *parseHwPrefetcher(v.string);
-                        return true;
-                    },
-                    error))
-                return false;
-        } else if (key == "distance_provider") {
-            if (!parseAxis(
-                    key, value, out.distance_providers,
-                    [&](const JsonValue &v, DistanceProviderKind &kind) {
-                        if (!v.isString() ||
-                            !parseDistanceProvider(v.string)) {
-                            error = "field 'distance_provider' values "
-                                    "must be one of " +
-                                    std::string(kDistanceProviderChoices);
-                            return false;
-                        }
-                        kind = *parseDistanceProvider(v.string);
-                        return true;
-                    },
-                    error))
-                return false;
-        } else if (key == "pfc" || key == "ghr_filter" ||
-                   key == "wrong_path") {
-            std::vector<bool> *axis = key == "pfc" ? &out.pfc
-                                      : key == "ghr_filter"
-                                          ? &out.ghr_filter
-                                          : &out.wrong_path;
-            if (!parseAxis(
-                    key, value, *axis,
-                    [&](const JsonValue &v, bool &flag) {
-                        if (!v.isBool()) {
-                            error = "field '" + key +
-                                    "' values must be booleans";
-                            return false;
-                        }
-                        flag = v.boolean;
-                        return true;
+                    key, value, out.axes[knob - kKnobs.data()],
+                    [&](const JsonValue &v, std::uint32_t &encoded) {
+                        return knob->read(v, encoded, error);
                     },
                     error))
                 return false;
@@ -259,7 +180,7 @@ parseSweepSpec(const std::string &body, SweepSpec &out, std::string &error)
             return false;
         }
     }
-    if (have_mix) {
+    if (!out.mix.empty()) {
         if (have_workloads) {
             error = "fields 'workloads' and 'mix' are mutually exclusive";
             return false;
@@ -295,20 +216,6 @@ parseSweepSpec(const std::string &body, SweepSpec &out, std::string &error)
 std::string
 sweepSpecToJson(const SweepSpec &spec)
 {
-    std::vector<std::uint64_t> ftq(spec.ftq.begin(), spec.ftq.end());
-    std::vector<std::string> modes;
-    for (const SimMode mode : spec.modes)
-        modes.push_back(simModeName(mode));
-    std::vector<std::string> predictors;
-    for (const DirectionPredictorKind kind : spec.predictors)
-        predictors.push_back(predictorName(kind));
-    std::vector<std::string> prefetchers;
-    for (const IPrefetcherKind kind : spec.hw_prefetchers)
-        prefetchers.push_back(hwPrefetcherName(kind));
-    std::vector<std::string> providers;
-    for (const DistanceProviderKind kind : spec.distance_providers)
-        providers.push_back(distanceProviderName(kind));
-
     std::string out;
     if (spec.mix.empty()) {
         std::vector<std::uint64_t> cores(spec.cores.begin(),
@@ -319,14 +226,17 @@ sweepSpecToJson(const SweepSpec &spec)
         out = "{\"mix\":" + jsonStringArray(spec.mix);
     }
     out += ",\"instructions\":" + std::to_string(spec.instructions);
-    out += ",\"ftq\":" + jsonUIntArray(ftq);
-    out += ",\"mode\":" + jsonStringArray(modes);
-    out += ",\"predictor\":" + jsonStringArray(predictors);
-    out += ",\"hw_prefetcher\":" + jsonStringArray(prefetchers);
-    out += ",\"pfc\":" + jsonBoolArray(spec.pfc);
-    out += ",\"ghr_filter\":" + jsonBoolArray(spec.ghr_filter);
-    out += ",\"wrong_path\":" + jsonBoolArray(spec.wrong_path);
-    out += ",\"distance_provider\":" + jsonStringArray(providers);
+    for (const std::size_t i : sweepOrder()) {
+        out += ",\"";
+        out += kKnobs[i].name;
+        out += "\":[";
+        for (std::size_t j = 0; j < spec.axes[i].size(); ++j) {
+            if (j != 0)
+                out += ',';
+            kKnobs[i].write(spec.axes[i][j], /*json=*/true, out);
+        }
+        out += ']';
+    }
     out += '}';
     return out;
 }
@@ -334,67 +244,26 @@ sweepSpecToJson(const SweepSpec &spec)
 std::vector<service::SimRequest>
 expandSweep(const SweepSpec &spec)
 {
-    // The workload/core dimension first: (workload, cores) pairs for
-    // homogeneous sweeps, or the single fixed mix. A homogeneous mix
-    // normalizes to the empty-mix spelling so both share canonical keys
-    // with the equivalent /simulate request.
-    std::vector<service::SimRequest> machines;
-    if (!spec.mix.empty()) {
-        service::SimRequest machine;
-        machine.workload = spec.mix.front();
-        machine.cores = static_cast<std::uint32_t>(spec.mix.size());
-        if (!std::all_of(spec.mix.begin(), spec.mix.end(),
-                         [&](const std::string &w) {
-                             return w == spec.mix.front();
-                         }))
-            machine.mix = spec.mix;
-        machines.push_back(std::move(machine));
-    } else {
-        for (const auto &workload : spec.workloads) {
-            for (const std::uint32_t cores : spec.cores) {
-                service::SimRequest machine;
-                machine.workload = workload;
-                machine.cores = cores;
-                machines.push_back(std::move(machine));
-            }
-        }
-    }
-
+    // The machine outermost: (workload, cores) pairs for homogeneous
+    // sweeps, or the single fixed mix, each crossed with every knob
+    // combination. A homogeneous mix normalizes to the empty-mix
+    // spelling so both share canonical keys with the equivalent
+    // /simulate request.
+    const std::array<std::size_t, kKnobCount> order = sweepOrder();
     std::vector<service::SimRequest> shards;
     shards.reserve(spec.shardCount());
-    for (const service::SimRequest &machine : machines) {
-        for (const std::uint32_t ftq : spec.ftq) {
-            for (const SimMode mode : spec.modes) {
-                for (const DirectionPredictorKind predictor :
-                     spec.predictors) {
-                    for (const IPrefetcherKind prefetcher :
-                         spec.hw_prefetchers) {
-                        for (const bool pfc : spec.pfc) {
-                            for (const bool ghr : spec.ghr_filter) {
-                                for (const bool wp : spec.wrong_path) {
-                                    for (const DistanceProviderKind dp :
-                                         spec.distance_providers) {
-                                        service::SimRequest request =
-                                            machine;
-                                        request.instructions =
-                                            spec.instructions;
-                                        request.ftq_entries = ftq;
-                                        request.mode = mode;
-                                        request.predictor = predictor;
-                                        request.hw_prefetcher =
-                                            prefetcher;
-                                        request.pfc = pfc;
-                                        request.ghr_filter = ghr;
-                                        request.wrong_path = wp;
-                                        request.distance_provider = dp;
-                                        shards.push_back(request);
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-            }
+    service::SimRequest request;
+    request.instructions = spec.instructions;
+    if (!spec.mix.empty()) {
+        request.setMix(spec.mix);
+        expandKnobs(spec, order, 0, request, shards);
+        return shards;
+    }
+    for (const auto &workload : spec.workloads) {
+        for (const std::uint32_t cores : spec.cores) {
+            request.workload = workload;
+            request.cores = cores;
+            expandKnobs(spec, order, 0, request, shards);
         }
     }
     return shards;

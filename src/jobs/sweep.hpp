@@ -10,15 +10,21 @@
 #ifndef SIPRE_JOBS_SWEEP_HPP
 #define SIPRE_JOBS_SWEEP_HPP
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
 
-#include "core/options.hpp"
 #include "service/request.hpp"
 
 namespace sipre::jobs
 {
+
+/** Per config knob (indexed like service::kKnobs), its encoded values. */
+using KnobAxes = std::array<std::vector<std::uint32_t>, service::kKnobCount>;
+
+/** Every knob's axis holding just the default request's value. */
+KnobAxes defaultKnobAxes();
 
 /**
  * One validated sweep: every axis holds at least one value; defaults
@@ -37,16 +43,8 @@ struct SweepSpec
     std::uint64_t instructions = 2'000'000;
     /** Homogeneous co-run sizes crossed with `workloads`. */
     std::vector<std::uint32_t> cores = {1};
-    std::vector<std::uint32_t> ftq = {24};
-    std::vector<SimMode> modes = {SimMode::kBase};
-    std::vector<DirectionPredictorKind> predictors = {
-        DirectionPredictorKind::kHashedPerceptron};
-    std::vector<IPrefetcherKind> hw_prefetchers = {IPrefetcherKind::kNone};
-    std::vector<bool> pfc = {true};
-    std::vector<bool> ghr_filter = {true};
-    std::vector<bool> wrong_path = {true};
-    std::vector<DistanceProviderKind> distance_providers = {
-        DistanceProviderKind::kStatic};
+    /** Each config knob's values, in Knob::get's encoding. */
+    KnobAxes axes = defaultKnobAxes();
 
     /**
      * |workloads| × the product of all axis lengths (the workload
@@ -62,12 +60,11 @@ inline constexpr std::size_t kMaxShardsPerJob = 4096;
  * Parse and validate a JSON sweep spec. `workloads` is required and is
  * either an array of known workload names or the string "all" (the
  * full 48-workload suite) — or `mix` (a fixed per-core workload list)
- * stands in for it; every other axis accepts a scalar or an array of
- * distinct values: instructions (scalar only), cores, ftq, mode,
- * predictor, hw_prefetcher, pfc, ghr_filter, wrong_path,
- * distance_provider. Unknown
- * fields, bad types, duplicate axis values, out-of-range values, and
- * sweeps past kMaxShardsPerJob are rejected with a specific `error`.
+ * stands in for it. `instructions` is a scalar; `cores` and every knob
+ * in service::kKnobs accept a scalar or an array of distinct values,
+ * each checked as /simulate checks it. Unknown fields, bad types,
+ * duplicate axis values, out-of-range values, and sweeps past
+ * kMaxShardsPerJob are rejected with a specific `error`.
  */
 bool parseSweepSpec(const std::string &body, SweepSpec &out,
                     std::string &error);
@@ -77,10 +74,10 @@ std::string sweepSpecToJson(const SweepSpec &spec);
 
 /**
  * Expand the sweep into its shards: workloads outermost, then cores,
- * ftq, mode, predictor, hw_prefetcher, pfc, ghr_filter, wrong_path,
- * distance_provider innermost. The order is part of the job-record
- * contract — shard indices persist across restarts — so new axes
- * append innermost and the order must never change for a given spec.
+ * then the knobs by Knob::sweep_depth. The order is part of the
+ * job-record contract — shard indices persist across restarts — so new
+ * axes append innermost and the order must never change for a given
+ * spec.
  */
 std::vector<service::SimRequest> expandSweep(const SweepSpec &spec);
 

@@ -388,7 +388,7 @@ TEST(DistanceProviderSweep, SpecJsonRoundTrips)
     ASSERT_TRUE(
         jobs::parseSweepSpec(jobs::sweepSpecToJson(spec), reparsed, error))
         << error;
-    EXPECT_EQ(reparsed.distance_providers, spec.distance_providers);
+    EXPECT_EQ(reparsed.axes, spec.axes);
     EXPECT_EQ(jobs::sweepSpecToJson(reparsed),
               jobs::sweepSpecToJson(spec));
 
