@@ -20,46 +20,27 @@ namespace sipre::service
 namespace
 {
 
-/** The request's knob vector as AsmDB pipeline parameters. */
-asmdb::AsmdbParams
-asmdbParamsFor(const SimRequest &request)
+/** One core's AsmDB pass as the run report keeps it. */
+RunReport::CorePlan
+corePlan(const asmdb::DistanceDecision &decision,
+         const asmdb::AsmdbPlan &plan, const asmdb::RewriteResult &rewrite)
 {
-    asmdb::AsmdbParams params;
-    params.distance_provider = request.distance_provider;
-    return params;
-}
-
-/** Fold one pipeline's provider accounting into the out-param. */
-void
-noteAsmdbRun(AsmdbRunInfo *info, const SimRequest &request,
-             const asmdb::DistanceDecision &decision,
-             const asmdb::AsmdbPlan &plan)
-{
-    if (info == nullptr)
-        return;
-    info->pipeline_ran = true;
-    info->provider = request.distance_provider;
-    ++info->pipelines;
-    info->insertions += plan.insertions.size();
-    info->tuned_targets += decision.overrides.size();
-    info->eval_runs += decision.eval_runs;
-    info->distance_sum += decision.min_distance;
+    RunReport::CorePlan core;
+    core.insertions = plan.insertions.size();
+    core.static_bloat = rewrite.staticBloat();
+    core.dynamic_bloat = rewrite.dynamicBloat();
+    core.tuned_targets = decision.overrides.size();
+    core.eval_runs = decision.eval_runs;
+    core.min_distance = decision.min_distance;
+    return core;
 }
 
 } // namespace
 
-/**
- * Every request mode at every core count: generate one trace per mix
- * entry, apply the mode's AsmDB artifacts per core (each workload
- * profiled separately), and run them over the shared LLC/DRAM.
- */
-SimResult
-runSimRequest(const SimRequest &request, std::uint32_t scenario_window,
-              AsmdbRunInfo *asmdb_info)
+std::vector<Trace>
+synthesizeTraces(const SimRequest &request)
 {
-    const SimConfig config = request.toConfig();
     const std::vector<std::string> mix = request.effectiveMix();
-
     std::vector<Trace> traces;
     traces.reserve(mix.size());
     for (const std::string &name : mix) {
@@ -73,10 +54,20 @@ runSimRequest(const SimRequest &request, std::uint32_t scenario_window,
                 synth::generateTrace(*spec, request.instructions));
         }
         // Each core is a distinct process: rebase before any AsmDB
-        // profiling so artifacts live in the same address space. Core 0
-        // keeps offset 0, so a solo run is the plain trace.
+        // profiling so artifacts live in the same address space.
         traces.back().rebase((traces.size() - 1) * kCoreAddressStride);
     }
+    return traces;
+}
+
+RunReport
+runRecipe(const SimRequest &request, const std::vector<Trace> &traces,
+          std::uint32_t scenario_window, const SimResult *external_profile)
+{
+    const SimConfig config = request.toConfig();
+    asmdb::AsmdbParams params;
+    params.distance_provider = request.distance_provider;
+    params.external_profile = external_profile;
 
     // Artifact storage must outlive the simulator (it holds raw trace
     // pointers); rewritten-trace modes swap each core's trace for its
@@ -91,34 +82,34 @@ runSimRequest(const SimRequest &request, std::uint32_t scenario_window,
     for (const Trace &t : traces)
         run_traces.push_back(&t);
 
-    const asmdb::AsmdbParams params = asmdbParamsFor(request);
+    RunReport report;
     switch (request.mode) {
     case SimMode::kBase:
         break;
     case SimMode::kAsmdb:
-        for (std::size_t i = 0; i < traces.size(); ++i) {
-            artifacts.push_back(
-                asmdb::runPipeline(traces[i], config, params));
-            run_traces[i] = &artifacts.back().rewrite.trace;
-        }
-        break;
     case SimMode::kNoOverhead:
     case SimMode::kMetadata:
-        for (const Trace &t : traces)
-            artifacts.push_back(asmdb::runPipeline(t, config, params));
+        for (std::size_t i = 0; i < traces.size(); ++i) {
+            const asmdb::AsmdbArtifacts &art = artifacts.emplace_back(
+                asmdb::runPipeline(traces[i], config, params));
+            report.cores.push_back(
+                corePlan(art.decision, art.plan, art.rewrite));
+            if (request.mode == SimMode::kAsmdb)
+                run_traces[i] = &art.rewrite.trace;
+        }
         break;
     case SimMode::kFeedback:
         for (std::size_t i = 0; i < traces.size(); ++i) {
-            feedback.push_back(
+            const asmdb::FeedbackResult &fb = feedback.emplace_back(
                 asmdb::runFeedbackDirected(traces[i], config, params));
-            run_traces[i] = &feedback.back().rewrite.trace;
+            RunReport::CorePlan &core = report.cores.emplace_back(
+                corePlan(fb.decision, fb.plan, fb.rewrite));
+            core.insertions_per_round = fb.insertions_per_round;
+            core.dropped_insertions = fb.dropped_insertions;
+            run_traces[i] = &fb.rewrite.trace;
         }
         break;
     }
-    for (const asmdb::AsmdbArtifacts &a : artifacts)
-        noteAsmdbRun(asmdb_info, request, a.decision, a.plan);
-    for (const asmdb::FeedbackResult &fb : feedback)
-        noteAsmdbRun(asmdb_info, request, fb.decision, fb.plan);
 
     Simulator sim(config, run_traces);
     if (request.mode == SimMode::kNoOverhead) {
@@ -132,7 +123,19 @@ runSimRequest(const SimRequest &request, std::uint32_t scenario_window,
     }
     if (scenario_window != 0)
         sim.enableScenarioTimeline(scenario_window);
-    return sim.run();
+    report.result = sim.run();
+    if (request.mode == SimMode::kMetadata) {
+        for (std::size_t i = 0; i < report.cores.size(); ++i)
+            report.cores[i].preloader = *sim.metadataStats(i);
+    }
+    report.profile = sim.profile();
+    return report;
+}
+
+SimResult
+runSimRequest(const SimRequest &request)
+{
+    return runRecipe(request, synthesizeTraces(request)).result;
 }
 
 namespace
@@ -404,7 +407,7 @@ SimulationEngine::workerLoop()
 
         std::shared_ptr<const SimResult> result;
         std::string error;
-        AsmdbRunInfo asmdb_info;
+        RunReport run;
         bool injected = false;
         // The `engine` fault site models a worker whose simulation is
         // slow (delay) or dies (fail) — the submit()er must still get
@@ -422,8 +425,11 @@ SimulationEngine::workerLoop()
             trace_obs::Span span("engine.simulate", "service");
             span.arg("workload", job->request.workload);
             try {
-                result = std::make_shared<const SimResult>(runSimRequest(
-                    job->request, options_.scenario_window, &asmdb_info));
+                run = runRecipe(job->request,
+                                synthesizeTraces(job->request),
+                                options_.scenario_window);
+                result =
+                    std::make_shared<const SimResult>(std::move(run.result));
             } catch (const std::exception &e) {
                 error = e.what();
             }
@@ -464,10 +470,10 @@ SimulationEngine::workerLoop()
                         slot->merge(c);
                     }
                 }
-                if (asmdb_info.pipeline_ran) {
+                if (!run.cores.empty()) {
                     ++asmdb_runs_;
-                    const char *name =
-                        distanceProviderName(asmdb_info.provider);
+                    const char *name = distanceProviderName(
+                        job->request.distance_provider);
                     ProviderCounters *slot = nullptr;
                     for (ProviderCounters &acc : providers_) {
                         if (acc.name == name)
@@ -479,11 +485,13 @@ SimulationEngine::workerLoop()
                         slot = &providers_.back();
                     }
                     ++slot->runs;
-                    slot->pipelines += asmdb_info.pipelines;
-                    slot->insertions += asmdb_info.insertions;
-                    slot->tuned_targets += asmdb_info.tuned_targets;
-                    slot->eval_runs += asmdb_info.eval_runs;
-                    slot->distance_sum += asmdb_info.distance_sum;
+                    for (const RunReport::CorePlan &core : run.cores) {
+                        ++slot->pipelines;
+                        slot->insertions += core.insertions;
+                        slot->tuned_targets += core.tuned_targets;
+                        slot->eval_runs += core.eval_runs;
+                        slot->distance_sum += core.min_distance;
+                    }
                 }
                 cache_.put(job->key, result);
             } else {

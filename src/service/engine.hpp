@@ -22,10 +22,13 @@
 #include <vector>
 
 #include "core/experiment.hpp"
+#include "core/metadata_preload.hpp"
 #include "core/sim_result.hpp"
 #include "service/backend.hpp"
 #include "service/request.hpp"
 #include "service/result_cache.hpp"
+#include "trace/trace.hpp"
+#include "util/profiler.hpp"
 #include "util/statistics.hpp"
 
 namespace sipre::service
@@ -59,23 +62,37 @@ struct EngineOptions
 };
 
 /**
- * What the AsmDB pipeline(s) inside one runSimRequest() did — one
- * record per request, summed across cores on a multi-core run. Filled
- * only when the request's mode actually ran a pipeline, so `base`
- * runs leave it untouched.
+ * One run of the mode recipe (runRecipe): its result, and what the
+ * recipe did to get there. sipre_cli prints it; the engine sums the
+ * AsmDB part into /metrics.
  */
-struct AsmdbRunInfo
+struct RunReport
 {
-    bool pipeline_ran = false;
-    DistanceProviderKind provider = DistanceProviderKind::kStatic;
-    std::uint64_t pipelines = 0;     ///< per-core pipeline executions
-    std::uint64_t insertions = 0;    ///< planned prefetch insertions
-    std::uint64_t tuned_targets = 0; ///< per-target distance overrides
-    std::uint64_t eval_runs = 0;     ///< adaptive evaluation sims
-    std::uint64_t distance_sum = 0;  ///< sum of global min distances
+    /** One core's AsmDB pass: the plan the core ran with. */
+    struct CorePlan
+    {
+        std::size_t insertions = 0;     ///< planned prefetch insertions
+        double static_bloat = 0.0;      ///< rewritten-binary code growth
+        double dynamic_bloat = 0.0;     ///< executed-instruction growth
+        std::size_t tuned_targets = 0;  ///< per-target distance overrides
+        std::uint64_t eval_runs = 0;    ///< adaptive evaluation sims
+        std::uint64_t min_distance = 0; ///< the global minimum distance
+        /// Feedback mode: insertions kept after each round (round 0
+        /// first) and the insertions the rounds dropped.
+        std::vector<std::size_t> insertions_per_round;
+        std::uint64_t dropped_insertions = 0;
+        /// Metadata mode: the core's preloader over the run.
+        MetadataPreloadStats preloader;
+    };
+
+    SimResult result;
+    /** One entry per core when the mode ran AsmDB; empty for base. */
+    std::vector<CorePlan> cores;
+    /** The final run's per-component wall-clock (Simulator::profile). */
+    ProfileAccumulator profile;
 };
 
-/** Per-provider accumulation of AsmdbRunInfo records (for /metrics). */
+/** Per-provider accumulation of RunReport plans (for /metrics). */
 struct ProviderCounters
 {
     std::string name;
@@ -180,17 +197,33 @@ struct EngineStats
 };
 
 /**
- * Run one validated request to completion (trace synthesis, optional
- * AsmDB pipeline, simulation). This is the exact per-mode recipe
- * sipre_cli executes, factored out so both entry points and the
- * service workers share it. A nonzero `scenario_window` turns on the
- * windowed FTQ scenario timeline for the run. When `asmdb_info` is
- * non-null and the mode runs the AsmDB pipeline, it receives the
- * distance-provider accounting for the run.
+ * A request runs in two steps. Step 1, synthesizeTraces, builds one
+ * trace per mix entry, each rebased by its core index times
+ * kCoreAddressStride (core 0 keeps offset 0, so a solo trace is the
+ * plain workload). Step 2, runRecipe, is the per-mode recipe over
+ * traces the caller supplies: each core's AsmDB pass (profiled on its
+ * own), the rewritten-trace swap, the no-overhead triggers or the
+ * metadata preloader, and one Simulator over the shared LLC/DRAM.
+ * The service runs both steps; sipre_cli runs step 2 on a saved or
+ * synthesized trace, so its output and a shard's result come from the
+ * same code.
  */
-SimResult runSimRequest(const SimRequest &request,
-                        std::uint32_t scenario_window = 0,
-                        AsmdbRunInfo *asmdb_info = nullptr);
+
+/** Step 1. Throws std::runtime_error("unknown workload NAME"). */
+std::vector<Trace> synthesizeTraces(const SimRequest &request);
+
+/**
+ * Step 2, on one trace per core. A nonzero `scenario_window` turns on
+ * the windowed FTQ scenario timeline; `external_profile` (may be null)
+ * is a prior run for the `profile` distance provider.
+ */
+RunReport runRecipe(const SimRequest &request,
+                    const std::vector<Trace> &traces,
+                    std::uint32_t scenario_window = 0,
+                    const SimResult *external_profile = nullptr);
+
+/** Both steps: the request's result. */
+SimResult runSimRequest(const SimRequest &request);
 
 /** See file comment. Thread-safe; submit() blocks until resolution. */
 class SimulationEngine

@@ -236,11 +236,14 @@ TEST(CliOutputs, JsonCellsPrintTheExecutorsResult)
             << cell.body << ": " << error;
         const CliRun run = runCli(dir, cell.args);
         EXPECT_EQ(run.exit_code, 0) << cell.args;
-        EXPECT_EQ(run.out,
-                  simResultToJson(service::runSimRequest(
-                      request, cell.scenario_window)) +
-                      "\n")
-            << cell.args;
+        const SimResult result =
+            cell.scenario_window == 0
+                ? service::runSimRequest(request)
+                : service::runRecipe(request,
+                                     service::synthesizeTraces(request),
+                                     cell.scenario_window)
+                      .result;
+        EXPECT_EQ(run.out, simResultToJson(result) + "\n") << cell.args;
     }
     std::filesystem::remove_all(dir);
 }

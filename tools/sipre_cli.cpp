@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
 #include <fstream>
 #include <iostream>
 #include <optional>
@@ -20,15 +21,12 @@
 #include <string>
 #include <vector>
 
-#include "asmdb/extensions.hpp"
-#include "asmdb/pipeline.hpp"
 #include "core/experiment.hpp"
 #include "core/json_io.hpp"
 #include "core/options.hpp"
 #include "core/report.hpp"
-#include "core/simulator.hpp"
 #include "core/trace_export.hpp"
-#include "multicore/multicore.hpp"
+#include "service/engine.hpp"
 #include "service/request.hpp"
 #include "trace/champsim_import.hpp"
 #include "trace/synth/workload.hpp"
@@ -261,10 +259,6 @@ main(int argc, char **argv)
             usage(argv[0]);
         }
     }
-    const SimConfig config = request.toConfig();
-    asmdb::AsmdbParams aparams;
-    aparams.distance_provider = request.distance_provider;
-
     // A prior run's serialized result (the campaign-text form written
     // by --result-out) feeds the 'profile' provider's distance model.
     SimResult external_profile;
@@ -276,7 +270,6 @@ main(int argc, char **argv)
                          profile_in.c_str());
             return 1;
         }
-        aparams.external_profile = &external_profile;
     }
 
     // --mix is the heterogeneous spelling of --cores: a single-entry
@@ -309,12 +302,9 @@ main(int argc, char **argv)
     if (profile)
         CycleProfiler::global().enable();
 
-    // Obtain one trace per core. A trace file feeds the single core;
-    // synthesized workloads are each a distinct process, rebased to
-    // their own address range before AsmDB profiling (core 0 keeps
-    // offset 0).
+    // Obtain one trace per core: a trace file feeds the single core,
+    // otherwise the service's step 1 synthesizes every mix entry.
     std::vector<Trace> traces;
-    traces.reserve(request.cores);
     if (!champsim_path.empty()) {
         traces.emplace_back();
         if (!importChampsimFile(champsim_path, traces.back(),
@@ -331,18 +321,12 @@ main(int argc, char **argv)
             return 1;
         }
     } else {
-        const std::vector<std::string> names = request.effectiveMix();
-        for (const std::string &name : names) {
-            const synth::WorkloadSpec *spec = synth::findWorkload(name);
-            if (spec == nullptr) {
-                std::fprintf(stderr,
-                             "error: unknown workload %s (try --list)\n",
-                             name.c_str());
-                return 1;
-            }
-            traces.push_back(
-                synth::generateTrace(*spec, request.instructions));
-            traces.back().rebase((traces.size() - 1) * kCoreAddressStride);
+        try {
+            traces = service::synthesizeTraces(request);
+        } catch (const std::exception &e) {
+            // e.what() is "unknown workload NAME".
+            std::fprintf(stderr, "error: %s (try --list)\n", e.what());
+            return 1;
         }
     }
     if (!save_path.empty()) {
@@ -356,86 +340,42 @@ main(int argc, char **argv)
         return 0;
     }
 
-    // Per-core AsmDB artifacts; rewritten-trace modes swap each core's
-    // trace for its rewritten counterpart. Reserve up front: the swap
-    // stores &artifacts.back().rewrite.trace mid-loop, so a vector grow
-    // would dangle every earlier core's pointer. With --json the only
-    // stdout output is the result document, so scripts can pipe it
-    // straight into a JSON parser.
-    std::vector<asmdb::AsmdbArtifacts> artifacts;
-    std::vector<asmdb::FeedbackResult> feedback;
-    artifacts.reserve(traces.size());
-    feedback.reserve(traces.size());
-    std::vector<const Trace *> run_traces;
-    for (const Trace &t : traces)
-        run_traces.push_back(&t);
-    switch (request.mode) {
-    case SimMode::kBase:
-        break;
-    case SimMode::kAsmdb:
-    case SimMode::kNoOverhead:
-    case SimMode::kMetadata:
-        for (std::size_t i = 0; i < traces.size(); ++i) {
-            artifacts.push_back(
-                asmdb::runPipeline(traces[i], config, aparams));
-            const asmdb::AsmdbArtifacts &art = artifacts.back();
-            if (!json) {
-                std::printf("AsmDB plan: %zu insertions, static bloat "
-                            "%.1f%%, dynamic bloat %.1f%%\n\n",
-                            art.plan.insertions.size(),
-                            100.0 * art.rewrite.staticBloat(),
-                            100.0 * art.rewrite.dynamicBloat());
-            }
-            if (request.mode == SimMode::kAsmdb)
-                run_traces[i] = &art.rewrite.trace;
-        }
-        break;
-    case SimMode::kFeedback:
-        for (std::size_t i = 0; i < traces.size(); ++i) {
-            feedback.push_back(
-                asmdb::runFeedbackDirected(traces[i], config, aparams));
-            const asmdb::FeedbackResult &fb = feedback.back();
-            if (!json) {
+    const service::RunReport run = service::runRecipe(
+        request, traces, scenario_window,
+        profile_in.empty() ? nullptr : &external_profile);
+    const SimResult &last_result = run.result;
+    // With --json the only stdout output is the result document, so
+    // scripts can pipe it straight into a JSON parser.
+    if (json) {
+        std::printf("%s\n", simResultToJson(last_result).c_str());
+    } else {
+        for (const service::RunReport::CorePlan &core : run.cores) {
+            if (request.mode == SimMode::kFeedback) {
                 std::printf("feedback-directed: insertions per round:");
-                for (const auto n : fb.insertions_per_round)
+                for (const auto n : core.insertions_per_round)
                     std::printf(" %zu", n);
                 std::printf(" (dropped %llu)\n\n",
                             static_cast<unsigned long long>(
-                                fb.dropped_insertions));
+                                core.dropped_insertions));
+            } else {
+                std::printf("AsmDB plan: %zu insertions, static bloat "
+                            "%.1f%%, dynamic bloat %.1f%%\n\n",
+                            core.insertions, 100.0 * core.static_bloat,
+                            100.0 * core.dynamic_bloat);
             }
-            run_traces[i] = &fb.rewrite.trace;
         }
-        break;
-    }
-
-    Simulator sim(config, run_traces);
-    if (request.mode == SimMode::kNoOverhead) {
-        for (std::size_t i = 0; i < artifacts.size(); ++i)
-            sim.setSwPrefetchTriggers(&artifacts[i].triggers, i);
-    } else if (request.mode == SimMode::kMetadata) {
-        for (std::size_t i = 0; i < artifacts.size(); ++i)
-            sim.attachMetadataPreloader(
-                MetadataPreloadConfig{},
-                asmdb::buildMetadataMap(artifacts[i].plan), i);
-    }
-    if (scenario_window != 0)
-        sim.enableScenarioTimeline(scenario_window);
-    const SimResult last_result = sim.run();
-    if (json)
-        std::printf("%s\n", simResultToJson(last_result).c_str());
-    else
         printReport(last_result, std::cout);
-    if (request.mode == SimMode::kMetadata && !json) {
-        for (std::size_t i = 0; i < artifacts.size(); ++i) {
-            const auto *stats = sim.metadataStats(i);
-            std::printf("\nmetadata preloader: %llu lookups, %llu L1 "
-                        "hits, %llu fills, %llu prefetches\n",
-                        static_cast<unsigned long long>(stats->lookups),
-                        static_cast<unsigned long long>(stats->l1_hits),
-                        static_cast<unsigned long long>(
-                            stats->metadata_fills),
-                        static_cast<unsigned long long>(
-                            stats->prefetches_issued));
+        for (const service::RunReport::CorePlan &core : run.cores) {
+            const MetadataPreloadStats &stats = core.preloader;
+            if (request.mode == SimMode::kMetadata)
+                std::printf(
+                    "\nmetadata preloader: %llu lookups, %llu L1 hits, "
+                    "%llu fills, %llu prefetches\n",
+                    static_cast<unsigned long long>(stats.lookups),
+                    static_cast<unsigned long long>(stats.l1_hits),
+                    static_cast<unsigned long long>(stats.metadata_fills),
+                    static_cast<unsigned long long>(
+                        stats.prefetches_issued));
         }
     }
     // The per-component wall-clock table goes to stderr so --json keeps
@@ -446,7 +386,7 @@ main(int argc, char **argv)
                      "cycles):\n%s",
                      last_result.workload.c_str(),
                      static_cast<unsigned long long>(last_result.cycles),
-                     sim.profile().table(last_result.cycles).c_str());
+                     run.profile.table(last_result.cycles).c_str());
     }
 
     if (!result_out.empty() && !writeResultFile(result_out, last_result))
