@@ -29,22 +29,14 @@ runFeedbackDirected(const Trace &trace, const SimConfig &config,
 {
     FeedbackResult result;
 
-    // Round 0: the standard AsmDB pipeline.
-    AsmdbArtifacts artifacts = runPipeline(trace, config, params);
+    // Round 0: the standard AsmDB pipeline. Its profiling run's
+    // per-line misses are the baseline each round is judged against.
+    const AsmdbArtifacts artifacts = runPipeline(trace, config, params);
+    const std::unordered_map<Addr, std::uint64_t> &profile_misses =
+        artifacts.line_misses;
     result.decision = artifacts.decision;
     result.plan = artifacts.plan;
     result.insertions_per_round.push_back(result.plan.insertions.size());
-
-    // Profile miss counts per line (re-derive from the pipeline's
-    // profile run by re-running the hook; cheaper: reconstruct from the
-    // plan's targets is lossy, so profile again).
-    std::unordered_map<Addr, std::uint64_t> profile_misses;
-    {
-        Simulator sim(config, trace);
-        sim.setL1iMissHook(
-            [&profile_misses](Addr line) { ++profile_misses[line]; });
-        sim.run();
-    }
 
     for (std::size_t round = 0; round < feedback.rounds; ++round) {
         // Evaluate the current plan in no-overhead form so line

@@ -12,7 +12,8 @@ runPipeline(const Trace &trace, const SimConfig &config,
     AsmdbArtifacts artifacts;
 
     // (1) Profile: run the baseline and collect per-line L1-I misses.
-    std::unordered_map<Addr, std::uint64_t> line_misses;
+    std::unordered_map<Addr, std::uint64_t> &line_misses =
+        artifacts.line_misses;
     {
         Simulator sim(config, trace);
         sim.setL1iMissHook(

@@ -9,6 +9,8 @@
 #ifndef SIPRE_ASMDB_PIPELINE_HPP
 #define SIPRE_ASMDB_PIPELINE_HPP
 
+#include <unordered_map>
+
 #include "asmdb/providers.hpp"
 #include "asmdb/rewriter.hpp"
 #include "core/config.hpp"
@@ -22,6 +24,8 @@ namespace sipre::asmdb
 struct AsmdbArtifacts
 {
     SimResult profile_run;       ///< baseline run used for profiling
+    /// Per-line L1-I demand misses of the profiling run.
+    std::unordered_map<Addr, std::uint64_t> line_misses;
     DistanceDecision decision;   ///< the distance provider's output
     AsmdbPlan plan;
     RewriteResult rewrite;       ///< rewritten trace + bloat numbers

@@ -14,6 +14,7 @@
 #include "core/simulator.hpp"
 #include "trace/trace_stats.hpp"
 #include "trace/synth/workload.hpp"
+#include "trace_obs/recorder.hpp"
 
 namespace sipre
 {
@@ -140,6 +141,42 @@ TEST(Feedback, PrunesUnhelpfulInsertions)
     }
     std::string err;
     EXPECT_TRUE(validateTrace(result.rewrite.trace, &err)) << err;
+}
+
+// Round 0 judges each round against the pipeline's own profiling run:
+// with no evaluation rounds the loop simulates exactly as often as the
+// pipeline does.
+TEST(Feedback, ReusesThePipelinesProfilingRun)
+{
+    const Trace trace = synth::generateTrace(
+        *synth::findWorkload("secret_srv12"), 20'000);
+    const SimConfig config = SimConfig::conservative();
+    trace_obs::Recorder &recorder = trace_obs::Recorder::global();
+    const auto simulations = [&recorder] {
+        std::size_t runs = 0;
+        recorder.forEachEvent(
+            [&runs](const trace_obs::TraceEvent &event, std::uint32_t) {
+                runs += std::string(event.name) == "sim.run";
+            });
+        recorder.clear();
+        return runs;
+    };
+    recorder.clear();
+    recorder.enable();
+    const asmdb::AsmdbArtifacts artifacts = asmdb::runPipeline(trace, config);
+    const std::size_t pipeline_runs = simulations();
+    asmdb::FeedbackParams no_rounds;
+    no_rounds.rounds = 0;
+    const asmdb::FeedbackResult feedback =
+        asmdb::runFeedbackDirected(trace, config, {}, no_rounds);
+    const std::size_t feedback_runs = simulations();
+    recorder.disable();
+
+    EXPECT_EQ(pipeline_runs, 1u);
+    EXPECT_EQ(feedback_runs, pipeline_runs);
+    EXPECT_EQ(feedback.plan.insertions.size(),
+              artifacts.plan.insertions.size());
+    EXPECT_FALSE(artifacts.line_misses.empty());
 }
 
 // --------------------------------------------------------------- campaign
