@@ -7,31 +7,13 @@
 namespace sipre
 {
 
-MemoryHierarchy::MemoryHierarchy(const HierarchyConfig &config)
-{
-    dram_ = std::make_unique<Dram>(config.dram);
-    llc_ = std::make_unique<Cache>(config.llc, dram_.get());
-    llc_view_ = llc_.get();
-    dram_view_ = dram_.get();
-    l2_ = std::make_unique<Cache>(config.l2, llc_.get());
-    wireUpperLevels(config);
-}
-
 MemoryHierarchy::MemoryHierarchy(const HierarchyConfig &config,
                                  MemoryDevice *shared_lower,
                                  Cache *shared_llc, Dram *shared_dram,
                                  std::uint8_t core_id)
-    : core_id_(core_id), owns_shared_(false)
+    : llc_(shared_llc), dram_(shared_dram), core_id_(core_id)
 {
-    llc_view_ = shared_llc;
-    dram_view_ = shared_dram;
     l2_ = std::make_unique<Cache>(config.l2, shared_lower);
-    wireUpperLevels(config);
-}
-
-void
-MemoryHierarchy::wireUpperLevels(const HierarchyConfig &config)
-{
     l1i_ = std::make_unique<Cache>(config.l1i, l2_.get());
     l1d_ = std::make_unique<Cache>(config.l1d, l2_.get());
     dprefetcher_ = makeDataPrefetcher(config.l1d_prefetcher);
@@ -170,16 +152,6 @@ void
 MemoryHierarchy::tick(Cycle now)
 {
     now_ = now;
-    if (owns_shared_) {
-        {
-            ProfScope scope(profile_, ProfComponent::kDram);
-            dram_->tick(now);
-        }
-        {
-            ProfScope scope(profile_, ProfComponent::kLlc);
-            llc_->tick(now);
-        }
-    }
     {
         ProfScope scope(profile_, ProfComponent::kL2);
         l2_->tick(now);
@@ -232,12 +204,7 @@ MemoryHierarchy::nextEventCycle(Cycle now) const
     if (dprefetcher_ != nullptr && !dprefetcher_->candidates().empty())
         return now + 1;
 
-    Cycle next = kNoCycle;
-    if (owns_shared_) {
-        next = dram_->nextEventCycle(now);
-        next = std::min(next, llc_->nextEventCycle(now));
-    }
-    next = std::min(next, l2_->nextEventCycle(now));
+    Cycle next = l2_->nextEventCycle(now);
     next = std::min(next, l1d_->nextEventCycle(now));
     next = std::min(next, l1i_->nextEventCycle(now));
     return next;
@@ -247,7 +214,7 @@ Cycle
 MemoryHierarchy::llcAccessLatency() const
 {
     return l1i_->config().latency + l2_->config().latency +
-           llc_view_->config().latency;
+           llc_->config().latency;
 }
 
 } // namespace sipre

@@ -1,8 +1,9 @@
 /**
  * @file
- * The assembled memory hierarchy: L1-I and L1-D over a unified L2, LLC,
- * and DRAM, with an optional hardware instruction prefetcher at the
- * L1-I. This is the single entry point the CPU model talks to.
+ * One core's memory hierarchy: L1-I and L1-D over a unified L2, with an
+ * optional hardware instruction prefetcher at the L1-I, over the LLC
+ * and DRAM a MemoryController shares among the cores. This is the
+ * single entry point the CPU model talks to.
  */
 #ifndef SIPRE_MEMORY_HIERARCHY_HPP
 #define SIPRE_MEMORY_HIERARCHY_HPP
@@ -60,22 +61,18 @@ struct HierarchyConfig
 };
 
 /**
- * Owns and wires the cache levels; exposes an instruction port (I-fetch
- * and I-prefetch into the L1-I) and a data port (loads/stores into the
- * L1-D). Completions are delivered into per-port vectors that the CPU
- * drains once per cycle.
+ * Owns and wires the core's private cache levels; exposes an
+ * instruction port (I-fetch and I-prefetch into the L1-I) and a data
+ * port (loads/stores into the L1-D). Completions are delivered into
+ * per-port vectors that the CPU drains once per cycle.
  */
 class MemoryHierarchy
 {
   public:
-    /** Standalone hierarchy that owns a private LLC and DRAM. */
-    explicit MemoryHierarchy(const HierarchyConfig &config);
-
     /**
-     * Core-private slice over a shared LLC and DRAM (the Simulator's
-     * form at every core count): this instance owns
-     * only the L1s and the L2; the L2's lower level is `shared_lower`
-     * (a memory-controller port) and `shared_llc`/`shared_dram` are the
+     * Core-private slice over a shared LLC and DRAM: this instance owns
+     * only the L1s and the L2; the L2's lower level is `shared_lower` (a
+     * memory-controller port) and `shared_llc`/`shared_dram` are the
      * shared devices behind it, exposed read-only through llc()/dram()
      * so result collection and llcAccessLatency() work unchanged. All
      * requests issued through this slice are tagged with `core_id`.
@@ -112,7 +109,7 @@ class MemoryHierarchy
     /** Completed load requests; drain and clear() each cycle. */
     std::vector<MemRequest> &dataCompleted() { return data_done_; }
 
-    /** Advance the whole hierarchy one cycle. */
+    /** Advance the slice (L2, L1-D, L1-I, prefetchers) one cycle. */
     void tick(Cycle now);
 
     /**
@@ -151,8 +148,8 @@ class MemoryHierarchy
     Cache &l1i() { return *l1i_; }
     Cache &l1d() { return *l1d_; }
     Cache &l2() { return *l2_; }
-    Cache &llc() { return *llc_view_; }
-    Dram &dram() { return *dram_view_; }
+    Cache &llc() { return *llc_; }
+    Dram &dram() { return *dram_; }
     const Cache &l1i() const { return *l1i_; }
 
     /** Round-trip latency of an LLC hit as seen from the core. */
@@ -168,17 +165,11 @@ class MemoryHierarchy
 
   private:
     Addr lineOf(Addr addr) const { return addr & ~Addr{63}; }
-    /** Shared tail of both constructors: L1s, prefetchers, callbacks. */
-    void wireUpperLevels(const HierarchyConfig &config);
 
-    std::unique_ptr<Dram> dram_;
-    std::unique_ptr<Cache> llc_;
-    /** The LLC/DRAM seen by accessors: owned or shared. */
-    Cache *llc_view_ = nullptr;
-    Dram *dram_view_ = nullptr;
+    /** The shared LLC and DRAM (owned by the memory controller). */
+    Cache *llc_ = nullptr;
+    Dram *dram_ = nullptr;
     std::uint8_t core_id_ = 0;
-    /** False for a core-private slice: dram_/llc_ live elsewhere. */
-    bool owns_shared_ = true;
     std::unique_ptr<Cache> l2_;
     std::unique_ptr<Cache> l1i_;
     std::unique_ptr<Cache> l1d_;

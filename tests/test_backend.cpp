@@ -12,6 +12,7 @@
 
 #include "backend/backend.hpp"
 #include "memory/hierarchy.hpp"
+#include "solo_memory.hpp"
 
 namespace sipre
 {
@@ -21,7 +22,7 @@ namespace
 struct BackendHarness
 {
     explicit BackendHarness(Trace t, BackendConfig config = {})
-        : trace(std::move(t)), memory(HierarchyConfig{}),
+        : trace(std::move(t)),
           decode_queue(64),
           backend(config, trace, memory, decode_queue)
     {
@@ -49,7 +50,7 @@ struct BackendHarness
     }
 
     Trace trace;
-    MemoryHierarchy memory;
+    SoloMemory memory;
     DecodeQueue decode_queue;
     Backend backend;
     Cycle now = 0;

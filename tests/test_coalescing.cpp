@@ -11,6 +11,7 @@
 #include "frontend/frontend.hpp"
 #include "trace/synth/workload.hpp"
 #include "trace/trace_stats.hpp"
+#include "solo_memory.hpp"
 
 namespace sipre::asmdb
 {
@@ -83,7 +84,7 @@ TEST(Coalesce, FrontendFiresOnePrefetchPerLine)
     SwPrefetchTriggers triggers;
     triggers[0x400004] = {0x700000 | 2}; // lines 0x700000..0x700080
 
-    MemoryHierarchy memory{HierarchyConfig{}};
+    SoloMemory memory;
     DecodeQueue decode_queue(64);
     DecoupledFrontEnd frontend(FrontendConfig{}, trace, memory,
                                decode_queue);

@@ -11,6 +11,7 @@
 #include "memory/dram.hpp"
 #include "util/circular_buffer.hpp"
 #include "util/statistics.hpp"
+#include "solo_memory.hpp"
 
 namespace sipre
 {
@@ -44,7 +45,7 @@ TEST(ContractDeathTest, BackendRejectsEmptyRob)
     BackendConfig config;
     config.rob_size = 0;
     const Trace trace;
-    MemoryHierarchy memory{HierarchyConfig{}};
+    SoloMemory memory;
     DecodeQueue decode_queue(4);
     EXPECT_DEATH(Backend(config, trace, memory, decode_queue), "rob_size");
 }

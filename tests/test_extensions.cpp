@@ -15,6 +15,7 @@
 #include "trace/trace_stats.hpp"
 #include "trace/synth/workload.hpp"
 #include "trace_obs/recorder.hpp"
+#include "solo_memory.hpp"
 
 namespace sipre
 {
@@ -25,7 +26,7 @@ namespace
 
 TEST(MetadataPreloader, MissThenFillThenHit)
 {
-    MemoryHierarchy memory{HierarchyConfig{}};
+    SoloMemory memory;
     MetadataPreloadConfig config;
     config.l1_table_entries = 4;
     config.metadata_latency = 10;
@@ -50,7 +51,7 @@ TEST(MetadataPreloader, MissThenFillThenHit)
 
 TEST(MetadataPreloader, IgnoresLinesWithoutMetadata)
 {
-    MemoryHierarchy memory{HierarchyConfig{}};
+    SoloMemory memory;
     MetadataPreloader preloader(MetadataPreloadConfig{}, {});
     preloader.onL1iAccess(0x400000, 0);
     preloader.tick(1, memory);
@@ -60,7 +61,7 @@ TEST(MetadataPreloader, IgnoresLinesWithoutMetadata)
 
 TEST(MetadataPreloader, L1TableEvictsLru)
 {
-    MemoryHierarchy memory{HierarchyConfig{}};
+    SoloMemory memory;
     MetadataPreloadConfig config;
     config.l1_table_entries = 2;
     config.metadata_latency = 1;

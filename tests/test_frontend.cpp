@@ -8,6 +8,7 @@
 
 #include "frontend/frontend.hpp"
 #include "memory/hierarchy.hpp"
+#include "solo_memory.hpp"
 
 namespace sipre
 {
@@ -48,7 +49,7 @@ straightLine(Addr base, int n)
 struct FrontEndHarness
 {
     explicit FrontEndHarness(Trace t, FrontendConfig config = {})
-        : trace(std::move(t)), memory(HierarchyConfig{}),
+        : trace(std::move(t)),
           decode_queue(64),
           frontend(config, trace, memory, decode_queue)
     {
@@ -77,7 +78,7 @@ struct FrontEndHarness
     }
 
     Trace trace;
-    MemoryHierarchy memory;
+    SoloMemory memory;
     DecodeQueue decode_queue;
     DecoupledFrontEnd frontend;
     Cycle now = 0;

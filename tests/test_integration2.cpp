@@ -10,6 +10,7 @@
 #include "core/simulator.hpp"
 #include "trace/synth/workload.hpp"
 #include "util/circular_buffer.hpp"
+#include "solo_memory.hpp"
 
 namespace sipre
 {
@@ -49,7 +50,7 @@ TEST(Walker, DataAddressesFallIntoKnownRegions)
 
 TEST(Hierarchy, L2IsSharedBetweenInstructionAndData)
 {
-    MemoryHierarchy mem{HierarchyConfig{}};
+    SoloMemory mem;
     Cycle now = 0;
     mem.issueIFetch(0x400000, now);
     mem.issueLoad(0x900000, now);

@@ -14,6 +14,7 @@
 #include "memory/iprefetcher.hpp"
 #include "memory/replacement.hpp"
 #include "util/rng.hpp"
+#include "solo_memory.hpp"
 
 namespace sipre
 {
@@ -448,7 +449,7 @@ TEST(Dram, BandwidthGapLimitsIssue)
 
 TEST(Hierarchy, LatenciesStackPerLevel)
 {
-    MemoryHierarchy mem{HierarchyConfig{}};
+    SoloMemory mem;
     // Cold miss goes to DRAM.
     const ReqId cold = mem.issueIFetch(0x400000, 0);
     Cycle now = 0;
@@ -484,7 +485,7 @@ TEST(Hierarchy, LatenciesStackPerLevel)
 
 TEST(Hierarchy, PrefetchDroppedWhenLinePresent)
 {
-    MemoryHierarchy mem{HierarchyConfig{}};
+    SoloMemory mem;
     mem.issueIFetch(0x400000, 0);
     for (Cycle c = 0; c < 1000; ++c) {
         mem.tick(c);
@@ -496,7 +497,7 @@ TEST(Hierarchy, PrefetchDroppedWhenLinePresent)
 
 TEST(Hierarchy, LoadAndStoreSharePort)
 {
-    MemoryHierarchy mem{HierarchyConfig{}};
+    SoloMemory mem;
     const ReqId load = mem.issueLoad(0x9000, 0);
     mem.issueStore(0x9100, 0);
     bool load_done = false;
@@ -512,7 +513,7 @@ TEST(Hierarchy, LoadAndStoreSharePort)
 TEST(Hierarchy, LlcAccessLatencyMatchesConfig)
 {
     HierarchyConfig config;
-    MemoryHierarchy mem{config};
+    SoloMemory mem{config};
     EXPECT_EQ(mem.llcAccessLatency(),
               config.l1i.latency + config.l2.latency +
                   config.llc.latency);
@@ -629,7 +630,7 @@ TEST(Hierarchy, PrefetchUsefulnessAccounting)
     // useful and route the outcome to the component's counter block.
     HierarchyConfig config;
     config.l1i_prefetcher = IPrefetcherKind::kNextLine;
-    MemoryHierarchy mem{config};
+    SoloMemory mem{config};
     ASSERT_EQ(mem.iprefetchers().size(), 1u);
 
     mem.issueIFetch(0x40000, 0);
@@ -666,7 +667,7 @@ TEST(Hierarchy, LatePrefetchAccounting)
     // as late, not useful.
     HierarchyConfig config;
     config.l1i_prefetcher = IPrefetcherKind::kNextLine;
-    MemoryHierarchy mem{config};
+    SoloMemory mem{config};
     ASSERT_EQ(mem.iprefetchers().size(), 1u);
 
     mem.issueIFetch(0x80000, 0);

@@ -9,6 +9,7 @@
 #include "memory/dprefetcher.hpp"
 #include "memory/tlb.hpp"
 #include "trace/synth/workload.hpp"
+#include "solo_memory.hpp"
 
 namespace sipre
 {
@@ -127,7 +128,7 @@ TEST(IpStride, IntegratesWithHierarchy)
 {
     HierarchyConfig config;
     config.l1d_prefetcher = DPrefetcherKind::kIpStride;
-    MemoryHierarchy mem(config);
+    SoloMemory mem(config);
     Cycle now = 0;
     // A strided load stream: the prefetcher should generate L1-D fills.
     for (int i = 0; i < 32; ++i) {
