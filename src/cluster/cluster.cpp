@@ -288,7 +288,16 @@ ClusterTier::ownerFor(const std::string &key) const
 bool
 ClusterTier::localExecution(const std::string &key)
 {
-    return ownerFor(key) == self_;
+    if (ownerFor(key) != self_)
+        return false;
+    // The engine asks once per fresh request. Running here although a
+    // peer ranks first means the detector marked that peer down: the
+    // request failed over to this node without entering resolve().
+    if (rendezvousRank(key, members_).front() != self_) {
+        std::lock_guard<std::mutex> lock(mutex_);
+        ++failovers_;
+    }
+    return true;
 }
 
 std::shared_ptr<const SimResult>

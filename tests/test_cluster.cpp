@@ -679,6 +679,47 @@ TEST(ClusterFailover, PeerFaultSiteSkipsTheHopDeterministically)
     EXPECT_GE(stats.failovers, 1u);
 }
 
+// A fresh request whose first-choice owner the detector has marked down
+// runs here without a hop; it still re-routed off its owner, so it
+// counts once as a failover (and its cached repeat does not).
+TEST(ClusterFailover, LocalRunOffADownOwnerCountsAsAFailover)
+{
+    SimulationEngine engine(EngineOptions{});
+    SimRequest request;
+    std::string error;
+    ASSERT_TRUE(parseSimRequest(simulateBody("secret_crypto52", 8),
+                                request, error));
+    const std::string dead = pickSelfSoThatOwns(
+        request.canonicalKey(), "127.0.0.1:9", false);
+    const std::string self =
+        pickSelfSoThatOwns(request.canonicalKey(), dead, true);
+
+    cluster::ClusterOptions options;
+    options.self = self;
+    options.peers = {self, dead};
+    options.probe_interval_ms = 20;
+    options.down_after = 1;
+    cluster::ClusterTier tier(engine, options);
+    engine.setResultBackend(&tier);
+    ASSERT_EQ(tier.ownerFor(request.canonicalKey()), dead);
+    tier.start();
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(20);
+    while (tier.stats().peers_up != 0 &&
+           std::chrono::steady_clock::now() < deadline)
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    ASSERT_EQ(tier.stats().peers_up, 0u);
+    ASSERT_EQ(tier.ownerFor(request.canonicalKey()), self);
+
+    ASSERT_EQ(engine.submit(request).status, SubmitStatus::kOk);
+    EXPECT_EQ(tier.stats().failovers, 1u);
+    EXPECT_EQ(tier.stats().proxy_failures, 0u);
+    EXPECT_TRUE(engine.submit(request).cache_hit);
+    EXPECT_EQ(tier.stats().failovers, 1u);
+    EXPECT_EQ(engine.stats().sim_runs, 1u);
+    tier.shutdown();
+}
+
 // ------------------------------------------- 3-node loopback chaos
 
 TEST(ClusterChaos, SigkillMidCampaignCompletesExactlyOnceByteIdentical)
