@@ -39,15 +39,21 @@ printReport(const SimResult &r, std::ostream &os)
        << " sw prefetches), cycles " << r.cycles << ", IPC " << r.ipc()
        << "\n\n";
 
+    // A co-run's top level sums every core's scenario cycles, so its
+    // shares are of the cores' summed cycles (r.cycles is the slowest
+    // core's).
+    std::uint64_t cycles = r.core_results.empty() ? r.cycles : 0;
+    for (const SimResult &core : r.core_results)
+        cycles += core.cycles;
     os << "front-end state taxonomy (Sec. III):\n";
     os << "  scenario 1 (shoot-through):  "
-       << pct(f.scenario1_cycles, r.cycles) << "%\n";
+       << pct(f.scenario1_cycles, cycles) << "%\n";
     os << "  scenario 2 (stalling head):  "
-       << pct(f.scenario2_cycles, r.cycles) << "%\n";
+       << pct(f.scenario2_cycles, cycles) << "%\n";
     os << "  scenario 3 (shadow stalls):  "
-       << pct(f.scenario3_cycles, r.cycles) << "%\n";
+       << pct(f.scenario3_cycles, cycles) << "%\n";
     os << "  FTQ empty:                   "
-       << pct(f.ftq_empty_cycles, r.cycles) << "%\n\n";
+       << pct(f.ftq_empty_cycles, cycles) << "%\n\n";
 
     os << "front-end events (per kilo-instruction):\n";
     os << "  head stall cycles        "

@@ -13,6 +13,7 @@
 #include "asmdb/pipeline.hpp"
 #include "core/report.hpp"
 #include "core/simulator.hpp"
+#include "multicore/multicore.hpp"
 #include "trace/synth/workload.hpp"
 #include "trace/trace_stats.hpp"
 #include "util/rng.hpp"
@@ -142,6 +143,34 @@ TEST(Properties, ReportPrinterRendersAllSections)
           "branch prediction", "caches", "IPC"}) {
         EXPECT_NE(out.find(needle), std::string::npos) << needle;
     }
+}
+
+// A co-run's top-level scenario cycles sum every core's cycles, so its
+// taxonomy is a share of the cores' summed cycles, not of the slowest
+// core's: the four lines add up to 100% as they do for a solo run.
+TEST(Properties, CoRunReportTaxonomySumsToOneHundredPercent)
+{
+    const Trace first = smallWorkload(20'000);
+    Trace second = synth::generateTrace(
+        *synth::findWorkload("secret_int_124"), 20'000);
+    second.rebase(kCoreAddressStride);
+    Simulator sim(SimConfig::industry(), {&first, &second});
+    const SimResult r = sim.run();
+    ASSERT_EQ(r.core_results.size(), 2u);
+    std::ostringstream oss;
+    printReport(r, oss);
+    std::istringstream lines(oss.str());
+    double sum = 0.0;
+    int shares = 0;
+    for (std::string line; std::getline(lines, line);) {
+        if (line.find("scenario ") == std::string::npos &&
+            line.find("FTQ empty:") == std::string::npos)
+            continue;
+        sum += std::stod(line.substr(line.find(':') + 1));
+        ++shares;
+    }
+    EXPECT_EQ(shares, 4);
+    EXPECT_NEAR(sum, 100.0, 0.03);
 }
 
 TEST(Properties, ConfigPresetLabelsAreDistinct)
