@@ -54,7 +54,8 @@ synthesizeTraces(const SimRequest &request)
                 synth::generateTrace(*spec, request.instructions));
         }
         // Each core is a distinct process: rebase before any AsmDB
-        // profiling so artifacts live in the same address space.
+        // profiling so artifacts live in the same address space. Core 0
+        // keeps offset 0, so a solo run is the plain trace.
         traces.back().rebase((traces.size() - 1) * kCoreAddressStride);
     }
     return traces;

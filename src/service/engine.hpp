@@ -197,25 +197,23 @@ struct EngineStats
 };
 
 /**
- * A request runs in two steps. Step 1, synthesizeTraces, builds one
- * trace per mix entry, each rebased by its core index times
- * kCoreAddressStride (core 0 keeps offset 0, so a solo trace is the
- * plain workload). Step 2, runRecipe, is the per-mode recipe over
- * traces the caller supplies: each core's AsmDB pass (profiled on its
- * own), the rewritten-trace swap, the no-overhead triggers or the
- * metadata preloader, and one Simulator over the shared LLC/DRAM.
- * The service runs both steps; sipre_cli runs step 2 on a saved or
- * synthesized trace, so its output and a shard's result come from the
- * same code.
+ * Step 1 of a request: one trace per mix entry, each rebased by its
+ * core index times kCoreAddressStride (core 0 keeps offset 0, so a solo
+ * trace is the plain workload). Throws std::runtime_error("unknown
+ * workload NAME").
  */
-
-/** Step 1. Throws std::runtime_error("unknown workload NAME"). */
 std::vector<Trace> synthesizeTraces(const SimRequest &request);
 
 /**
- * Step 2, on one trace per core. A nonzero `scenario_window` turns on
- * the windowed FTQ scenario timeline; `external_profile` (may be null)
- * is a prior run for the `profile` distance provider.
+ * Step 2, the per-mode recipe over one trace per core that the caller
+ * supplies: each core's AsmDB pass (profiled on its own), the
+ * rewritten-trace swap, the no-overhead triggers or the metadata
+ * preloader, and one Simulator over the shared LLC/DRAM. The service
+ * runs it on step 1's traces, sipre_cli on step 1's or a trace file's,
+ * so the CLI's output and a shard's result come from the same code. A
+ * nonzero `scenario_window` turns on the windowed FTQ scenario
+ * timeline; `external_profile` (may be null) is a prior run for the
+ * `profile` distance provider.
  */
 RunReport runRecipe(const SimRequest &request,
                     const std::vector<Trace> &traces,

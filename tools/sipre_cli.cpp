@@ -367,15 +367,16 @@ main(int argc, char **argv)
         printReport(last_result, std::cout);
         for (const service::RunReport::CorePlan &core : run.cores) {
             const MetadataPreloadStats &stats = core.preloader;
-            if (request.mode == SimMode::kMetadata)
-                std::printf(
-                    "\nmetadata preloader: %llu lookups, %llu L1 hits, "
-                    "%llu fills, %llu prefetches\n",
-                    static_cast<unsigned long long>(stats.lookups),
-                    static_cast<unsigned long long>(stats.l1_hits),
-                    static_cast<unsigned long long>(stats.metadata_fills),
-                    static_cast<unsigned long long>(
-                        stats.prefetches_issued));
+            if (request.mode != SimMode::kMetadata)
+                continue;
+            std::printf("\nmetadata preloader: %llu lookups, %llu L1 "
+                        "hits, %llu fills, %llu prefetches\n",
+                        static_cast<unsigned long long>(stats.lookups),
+                        static_cast<unsigned long long>(stats.l1_hits),
+                        static_cast<unsigned long long>(
+                            stats.metadata_fills),
+                        static_cast<unsigned long long>(
+                            stats.prefetches_issued));
         }
     }
     // The per-component wall-clock table goes to stderr so --json keeps
