@@ -5,9 +5,11 @@
  * parsing behind CampaignOptions::fromEnv().
  */
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <unistd.h>
 
 #include <gtest/gtest.h>
 
@@ -19,16 +21,33 @@ namespace sipre
 namespace
 {
 
-CampaignOptions
-tinyOptions(const std::string &dir)
+/**
+ * A two-workload campaign whose cache file lives in a directory of its
+ * own, removed on destruction. ctest runs every test in a process of
+ * its own, in parallel; tests sharing one cache path raced (one test's
+ * rewrite read as an empty file in another).
+ */
+struct TinyCampaign
 {
     CampaignOptions options;
-    options.workloads = 2;
-    options.instructions = 20'000;
-    options.use_cache = false;
-    options.cache_dir = dir;
-    return options;
-}
+    std::string dir = ::testing::TempDir() + "sipre_campaign_XXXXXX";
+
+    TinyCampaign()
+    {
+        options.workloads = 2;
+        options.instructions = 20'000;
+        options.use_cache = false;
+        if (::mkdtemp(dir.data()) == nullptr)
+            dir.clear();
+        EXPECT_FALSE(dir.empty()) << "cannot create a cache directory";
+        options.cache_dir = dir;
+    }
+    ~TinyCampaign()
+    {
+        if (!dir.empty())
+            std::filesystem::remove_all(dir);
+    }
+};
 
 void
 expectRecordsIdentical(const WorkloadRecord &a, const WorkloadRecord &b)
@@ -52,7 +71,8 @@ expectRecordsIdentical(const WorkloadRecord &a, const WorkloadRecord &b)
 
 TEST(CampaignCache, RoundTripIsFieldExact)
 {
-    const CampaignOptions options = tinyOptions(::testing::TempDir());
+    const TinyCampaign tiny;
+    const CampaignOptions &options = tiny.options;
     const CampaignResult computed = runStandardCampaign(options);
     ASSERT_EQ(computed.workloads.size(), options.workloads);
 
@@ -117,7 +137,8 @@ TEST(CampaignCache, HwpfSectionRoundTripsAndStaysOptional)
 
 TEST(CampaignCache, MissingFileFailsToLoad)
 {
-    CampaignOptions options = tinyOptions(::testing::TempDir());
+    const TinyCampaign tiny;
+    CampaignOptions options = tiny.options;
     options.instructions = 19'997; // no cache was ever written for this
     CampaignResult result;
     EXPECT_FALSE(loadCampaign(options, result));
@@ -125,7 +146,8 @@ TEST(CampaignCache, MissingFileFailsToLoad)
 
 TEST(CampaignCache, StaleVersionIsRejected)
 {
-    const CampaignOptions options = tinyOptions(::testing::TempDir());
+    const TinyCampaign tiny;
+    const CampaignOptions &options = tiny.options;
     const CampaignResult computed = runStandardCampaign(options);
     saveCampaign(options, computed);
 
@@ -151,7 +173,8 @@ TEST(CampaignCache, StaleVersionIsRejected)
 
 TEST(CampaignCache, TruncatedFileFailsToLoad)
 {
-    const CampaignOptions options = tinyOptions(::testing::TempDir());
+    const TinyCampaign tiny;
+    const CampaignOptions &options = tiny.options;
     const CampaignResult computed = runStandardCampaign(options);
     saveCampaign(options, computed);
 
