@@ -97,6 +97,16 @@ requestWithRetry(const std::string &host, std::uint16_t port,
     };
 
     ClientOutcome outcome;
+    ClientOutcome answered; ///< the last attempt that got a response
+    // When the budget ends the call, an attempt that got no response
+    // (typically one the deadline cut short) says nothing new about
+    // the server: the last response received stands.
+    const auto budgetSpent = [&outcome, &answered] {
+        if (outcome.ok || !answered.ok)
+            return outcome;
+        answered.attempts = outcome.attempts;
+        return answered;
+    };
     const unsigned attempts = std::max(1u, policy.max_attempts);
     for (unsigned attempt = 1; attempt <= attempts; ++attempt) {
         // Clamp the per-attempt timeout to the remaining deadline
@@ -105,7 +115,7 @@ requestWithRetry(const std::string &host, std::uint16_t port,
         if (policy.total_deadline_ms > 0) {
             const std::uint64_t elapsed = elapsed_ms();
             if (attempt > 1 && elapsed >= policy.total_deadline_ms)
-                return outcome; // budget spent: last outcome stands
+                return budgetSpent();
             const std::uint64_t left = policy.total_deadline_ms - elapsed;
             if (timeout_ms < 0 ||
                 static_cast<std::uint64_t>(timeout_ms) > left)
@@ -126,6 +136,8 @@ requestWithRetry(const std::string &host, std::uint16_t port,
         }
         outcome.ok = got_response;
         outcome.error = got_response ? std::string{} : error;
+        if (got_response)
+            answered = outcome;
         if (got_response &&
             !RetryPolicy::retryableStatus(outcome.response.status))
             return outcome;
@@ -135,7 +147,7 @@ requestWithRetry(const std::string &host, std::uint16_t port,
             attempt, got_response ? &outcome.response : nullptr);
         if (policy.total_deadline_ms > 0 &&
             elapsed_ms() + delay >= policy.total_deadline_ms)
-            return outcome; // a sleep would overrun the budget
+            return budgetSpent(); // a sleep would overrun the budget
         if (delay > 0)
             std::this_thread::sleep_for(
                 std::chrono::milliseconds(delay));

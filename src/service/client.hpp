@@ -60,7 +60,12 @@ struct RetryPolicy
     }
 };
 
-/** Result of requestWithRetry: the last attempt's outcome. */
+/**
+ * Result of requestWithRetry: the last attempt's outcome, except that
+ * when the deadline budget ends the call after an attempt that got no
+ * response, the last response received stands (`attempts` still counts
+ * every try).
+ */
 struct ClientOutcome
 {
     bool ok = false;         ///< a response was received (any status)

@@ -23,6 +23,8 @@
 #include <thread>
 #include <vector>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -448,6 +450,55 @@ TEST(RetryPolicy, TotalDeadlineBoundsWallClockUnderEndless429)
     EXPECT_GE(outcome.attempts, 2u);
     EXPECT_LT(ms, 5'000);
     server.shutdown();
+}
+
+// The budget runs out inside an attempt the server never answers. That
+// attempt says nothing about the server, so the 429 before it stands —
+// the race TotalDeadlineBoundsWallClockUnderEndless429 lost when a retry
+// started with a sliver of the budget left.
+TEST(RetryPolicy, AttemptCutShortByTheDeadlineKeepsTheLastAnswer)
+{
+    const int listener = ::socket(AF_INET, SOCK_STREAM, 0);
+    ASSERT_GE(listener, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    socklen_t len = sizeof addr;
+    ASSERT_EQ(::bind(listener, reinterpret_cast<sockaddr *>(&addr), len),
+              0);
+    ASSERT_EQ(::listen(listener, 4), 0);
+    ASSERT_EQ(
+        ::getsockname(listener, reinterpret_cast<sockaddr *>(&addr), &len),
+        0);
+    // The first connection gets a 429; the second is held open and
+    // never answered, until the client hangs up.
+    std::thread server([listener] {
+        std::string buffer;
+        const int first = ::accept(listener, nullptr, nullptr);
+        http::recvSome(first, buffer, 1'000);
+        http::sendAll(first, "HTTP/1.1 429 Too Many Requests\r\n"
+                             "Content-Length: 0\r\n\r\n");
+        ::close(first);
+        const int second = ::accept(listener, nullptr, nullptr);
+        while (http::recvSome(second, buffer, 5'000) == http::IoStatus::kOk)
+            ;
+        ::close(second);
+    });
+
+    RetryPolicy policy;
+    policy.max_attempts = 10;
+    policy.base_delay_ms = 10;
+    policy.max_delay_ms = 10;
+    policy.total_deadline_ms = 200;
+    const ClientOutcome outcome = requestWithRetry(
+        "127.0.0.1", ntohs(addr.sin_port),
+        postSimulate(simulateBody("secret_crypto52", 4)), policy);
+    server.join();
+    ::close(listener);
+
+    ASSERT_TRUE(outcome.ok) << outcome.error;
+    EXPECT_EQ(outcome.response.status, 429);
+    EXPECT_EQ(outcome.attempts, 2u);
 }
 
 // -------------------------------------------------- socket I/O edges
