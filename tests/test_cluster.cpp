@@ -739,9 +739,12 @@ TEST(ClusterChaos, SigkillMidCampaignCompletesExactlyOnceByteIdentical)
     const std::vector<SimRequest> shards = jobs::expandSweep(sweep);
     ASSERT_EQ(shards.size(), 8u);
 
+    // Fixed ports stay below Linux's default ephemeral range (32768 and
+    // up), where a concurrently running test's port-0 listener or
+    // client socket can already hold a port and keep a daemon down.
     std::uint16_t base = 0;
     for (std::uint16_t candidate = static_cast<std::uint16_t>(
-             18'000 + (::getpid() * 7) % 20'000);
+             18'000 + (::getpid() * 7) % 12'000);
          base == 0; candidate += 4) {
         const std::vector<std::string> names = {
             "127.0.0.1:" + std::to_string(candidate),
