@@ -97,10 +97,10 @@ requestWithRetry(const std::string &host, std::uint16_t port,
     };
 
     ClientOutcome outcome;
-    ClientOutcome answered; ///< the last attempt that got a response
-    // When the budget ends the call, an attempt that got no response
-    // (typically one the deadline cut short) says nothing new about
-    // the server: the last response received stands.
+    // The last attempt that got a response. When the budget ends the
+    // call, an attempt that got none (typically one the deadline cut
+    // short) says nothing new about the server: that response stands.
+    ClientOutcome answered;
     const auto budgetSpent = [&outcome, &answered] {
         if (outcome.ok || !answered.ok)
             return outcome;
@@ -136,11 +136,11 @@ requestWithRetry(const std::string &host, std::uint16_t port,
         }
         outcome.ok = got_response;
         outcome.error = got_response ? std::string{} : error;
-        if (got_response)
-            answered = outcome;
         if (got_response &&
             !RetryPolicy::retryableStatus(outcome.response.status))
             return outcome;
+        if (got_response)
+            answered = outcome;
         if (attempt == attempts)
             return outcome; // last word: the 429/503/error as-is
         const std::uint64_t delay = policy.backoffMs(
