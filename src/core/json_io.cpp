@@ -4,9 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <iomanip>
 #include <limits>
-#include <sstream>
 
 #include "core/options.hpp"
 
@@ -328,10 +326,15 @@ jsonDouble(double value)
 {
     if (!std::isfinite(value))
         return "0";
-    std::ostringstream oss;
-    oss << std::setprecision(std::numeric_limits<double>::max_digits10)
-        << value;
-    return oss.str();
+    // to_chars with a precision prints as printf's %.*g does, which is
+    // what a stream at setprecision(max_digits10) printed.
+    char digits[32]; // sign, 17 digits, point, "e-308"
+    const auto end =
+        std::to_chars(digits, digits + sizeof digits, value,
+                      std::chars_format::general,
+                      std::numeric_limits<double>::max_digits10)
+            .ptr;
+    return std::string(digits, end);
 }
 
 bool
@@ -380,7 +383,7 @@ namespace
 {
 
 void
-writeRunningStat(std::ostream &os, const RunningStat &s)
+writeRunningStat(JsonSink &os, const RunningStat &s)
 {
     os << "{\"count\":" << s.count() << ",\"sum\":" << jsonDouble(s.sum())
        << ",\"min\":" << jsonDouble(s.min())
@@ -389,7 +392,7 @@ writeRunningStat(std::ostream &os, const RunningStat &s)
 }
 
 void
-writeHistogramJson(std::ostream &os, const Histogram &h)
+writeHistogramJson(JsonSink &os, const Histogram &h)
 {
     os << "{\"width\":" << h.width() << ",\"sum\":" << h.sum()
        << ",\"counts\":[";
@@ -402,7 +405,7 @@ writeHistogramJson(std::ostream &os, const Histogram &h)
 }
 
 void
-writeCacheJson(std::ostream &os, const CacheStats &c)
+writeCacheJson(JsonSink &os, const CacheStats &c)
 {
     os << "{\"accesses\":" << c.accesses << ",\"hits\":" << c.hits
        << ",\"misses\":" << c.misses
@@ -423,7 +426,7 @@ writeCacheJson(std::ostream &os, const CacheStats &c)
  * byte-identical to what this wrote before multi-core existed.
  */
 void
-writeResultJsonBody(std::ostream &os, const SimResult &r)
+writeResultJsonBody(JsonSink &os, const SimResult &r)
 {
     os << "{\"workload\":\"" << jsonEscape(r.workload)
        << "\",\"config_label\":\"" << jsonEscape(r.config_label)
@@ -535,7 +538,11 @@ writeResultJsonBody(std::ostream &os, const SimResult &r)
 std::string
 simResultToJson(const SimResult &r)
 {
-    std::ostringstream os;
+    std::string out;
+    // A single-core document is about 2.6 KB; each co-run core adds
+    // its own.
+    out.reserve(3072 * (1 + r.core_results.size()));
+    JsonSink os(out);
     writeResultJsonBody(os, r);
     if (!r.core_results.empty()) {
         const SharedMemStats &s = r.shared_mem;
@@ -568,13 +575,14 @@ simResultToJson(const SimResult &r)
         os << "]";
     }
     os << "}";
-    return os.str();
+    return out;
 }
 
 std::string
 simConfigToJson(const SimConfig &config)
 {
-    std::ostringstream os;
+    std::string out;
+    JsonSink os(out);
     os << "{\"label\":\"" << jsonEscape(config.label)
        << "\",\"ftq_entries\":" << config.frontend.ftq_entries
        << ",\"predictor\":\""
@@ -589,7 +597,7 @@ simConfigToJson(const SimConfig &config)
        << ",\"warmup_fraction\":" << jsonDouble(config.warmup_fraction)
        << ",\"fast_forward\":"
        << (config.fast_forward ? "true" : "false") << "}";
-    return os.str();
+    return out;
 }
 
 } // namespace sipre

@@ -9,6 +9,8 @@
 #ifndef SIPRE_CORE_JSON_IO_HPP
 #define SIPRE_CORE_JSON_IO_HPP
 
+#include <charconv>
+#include <concepts>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -19,6 +21,68 @@
 
 namespace sipre
 {
+
+// ------------------------------------------------------------ string sink
+
+/**
+ * Appends a document into one string, `os << ...` style, without a
+ * stream. It takes only what the serializers write: text, single
+ * characters and the statistics' integer types (through
+ * std::to_chars). Doubles go through jsonDouble. bool, the char-sized
+ * integers and floating types do not compile: an ostream printed a
+ * uint8_t as a character and a double at precision 6, so letting them
+ * through would silently change the bytes.
+ */
+class JsonSink
+{
+  public:
+    explicit JsonSink(std::string &out) : out_(out) {}
+
+    JsonSink &
+    operator<<(std::string_view text)
+    {
+        out_ += text;
+        return *this;
+    }
+
+    // Its own overload: a literal would otherwise take the
+    // pointer-to-bool conversion to the deleted bool overload.
+    JsonSink &
+    operator<<(const char *text)
+    {
+        out_ += text;
+        return *this;
+    }
+
+    JsonSink &
+    operator<<(char c)
+    {
+        out_ += c;
+        return *this;
+    }
+
+    template <std::integral T>
+    JsonSink &
+    operator<<(T value)
+    {
+        char digits[24];
+        const auto end =
+            std::to_chars(digits, digits + sizeof digits, value).ptr;
+        out_.append(digits, end);
+        return *this;
+    }
+
+    // Exact matches, so these win over the template above.
+    JsonSink &operator<<(bool) = delete;
+    JsonSink &operator<<(signed char) = delete;
+    JsonSink &operator<<(unsigned char) = delete;
+    JsonSink &operator<<(float) = delete;
+    JsonSink &operator<<(double) = delete;
+    JsonSink &operator<<(long double) = delete;
+
+  private:
+    std::string &out_;
+};
 
 // ----------------------------------------------------------- generic JSON
 
@@ -63,7 +127,9 @@ std::string jsonEscape(std::string_view s);
 
 /**
  * Format a double with max_digits10 precision so the value survives a
- * text round-trip bit-exactly (same policy as the campaign cache).
+ * text round-trip bit-exactly (same policy as the campaign cache): the
+ * bytes of printf's "%.17g", with "0" for NaN and the infinities. Job
+ * records persist this form, so it must not change.
  */
 std::string jsonDouble(double value);
 

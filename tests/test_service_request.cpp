@@ -3,9 +3,17 @@
  * Request canonicalization: equivalent JSON spellings (field order,
  * whitespace, explicit defaults) must produce the same canonical key,
  * and every distinct knob combination in the full option space must
- * produce a distinct key.
+ * produce a distinct key. Also the number forms the result encoder
+ * writes: jsonDouble prints what a max_digits10 stream printed, and the
+ * string sink takes only the types that print the same as a stream.
  */
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <fstream>
+#include <iomanip>
+#include <limits>
+#include <random>
 #include <set>
 #include <sstream>
 #include <string>
@@ -346,6 +354,95 @@ TEST(ServiceRequest, DistinctKnobsChangeTheKey)
     for (const char *variant : variants)
         EXPECT_NE(base.canonicalKey(), mustParse(variant).canonicalKey())
             << variant;
+}
+
+namespace
+{
+
+/** jsonDouble as it was written over a stream, kept as the reference. */
+std::string
+streamDouble(double value)
+{
+    if (!std::isfinite(value))
+        return "0";
+    std::ostringstream oss;
+    oss << std::setprecision(std::numeric_limits<double>::max_digits10)
+        << value;
+    return oss.str();
+}
+
+template <typename T>
+concept Sinkable = requires(JsonSink &sink, T value) { sink << value; };
+
+// A stream printed these the same way the sink does.
+static_assert(Sinkable<const char *>);
+static_assert(Sinkable<std::string>);
+static_assert(Sinkable<char>);
+static_assert(Sinkable<std::uint32_t>);
+static_assert(Sinkable<std::uint64_t>);
+static_assert(Sinkable<std::size_t>);
+static_assert(Sinkable<int>);
+// A stream printed these differently (a uint8_t as a character, a
+// double at precision 6), so the sink refuses them.
+static_assert(!Sinkable<bool>);
+static_assert(!Sinkable<std::uint8_t>);
+static_assert(!Sinkable<std::int8_t>);
+static_assert(!Sinkable<float>);
+static_assert(!Sinkable<double>);
+static_assert(!Sinkable<long double>);
+
+} // namespace
+
+TEST(JsonIo, DoubleMatchesStreamForm)
+{
+    using limits = std::numeric_limits<double>;
+    const double edges[] = {
+        0.0,
+        -0.0,
+        limits::denorm_min(),
+        -limits::denorm_min(),
+        limits::denorm_min() * 12345.0,
+        limits::min() / 3.0,
+        1e21,
+        1e22,
+        -1e22,
+        0.1,
+        1.0 / 3,
+        2.0 / 3,
+        1.0,
+        100.0,
+        123456789012345678.0,
+        1e16,
+        1e17,
+        0.0001,
+        0.00001,
+        limits::min(),
+        limits::max(),
+        limits::lowest(),
+        limits::epsilon(),
+        limits::quiet_NaN(),
+        -limits::quiet_NaN(),
+        limits::infinity(),
+        -limits::infinity(),
+    };
+    for (const double value : edges)
+        EXPECT_EQ(jsonDouble(value), streamDouble(value)) << value;
+    EXPECT_EQ(jsonDouble(-0.0), "-0");
+    EXPECT_EQ(jsonDouble(limits::quiet_NaN()), "0");
+    EXPECT_EQ(jsonDouble(-limits::infinity()), "0");
+
+    // Random bit patterns cover every exponent, subnormals and NaNs;
+    // ratios of counts are what the statistics print.
+    std::mt19937_64 rng(20231);
+    for (int i = 0; i < 200'000; ++i) {
+        const double bits = std::bit_cast<double>(rng());
+        ASSERT_EQ(jsonDouble(bits), streamDouble(bits))
+            << std::hexfloat << bits;
+        const double ratio = static_cast<double>(rng() % 10'000'000) /
+                             static_cast<double>(1 + rng() % 100'000);
+        ASSERT_EQ(jsonDouble(ratio), streamDouble(ratio))
+            << std::hexfloat << ratio;
+    }
 }
 
 // Every byte a knob persists: the canonical key and request echo of a
