@@ -7,6 +7,7 @@
 
 #include "asmdb/extensions.hpp"
 #include "asmdb/pipeline.hpp"
+#include "core/json_io.hpp"
 #include "core/simulator.hpp"
 #include "multicore/multicore.hpp"
 #include "trace/synth/workload.hpp"
@@ -184,8 +185,8 @@ SimulationEngine::SimulationEngine(const EngineOptions &options)
                     req.mode = mapping.mode;
                     disk_cache_.emplace(
                         req.canonicalKey(),
-                        std::make_shared<const SimResult>(
-                            rec.*mapping.member));
+                        encode(std::make_shared<const SimResult>(
+                            rec.*mapping.member)));
                 }
             }
         }
@@ -199,6 +200,14 @@ SimulationEngine::SimulationEngine(const EngineOptions &options)
 SimulationEngine::~SimulationEngine()
 {
     shutdown(/*drain=*/true);
+}
+
+SimulationEngine::CachedResult
+SimulationEngine::encode(std::shared_ptr<const SimResult> result)
+{
+    auto json =
+        std::make_shared<const std::string>(simResultToJson(*result));
+    return {std::move(result), std::move(json)};
 }
 
 void
@@ -229,13 +238,14 @@ SimulationEngine::waitForJob(const std::shared_ptr<Job> &job, bool coalesced,
         outcome.error = "engine shutting down";
         return outcome;
     }
-    if (job->result == nullptr) {
+    if (job->cached.result == nullptr) {
         outcome.status = SubmitStatus::kFailed;
         outcome.error = job->error;
         return outcome;
     }
     outcome.status = SubmitStatus::kOk;
-    outcome.result = job->result;
+    outcome.result = job->cached.result;
+    outcome.result_json = job->cached.json;
     outcome.proxied = job->proxied;
     std::lock_guard<std::mutex> lock(mutex_);
     recordLatencyLocked(us);
@@ -270,7 +280,8 @@ SimulationEngine::submit(const SimRequest &request, bool allow_proxy)
             span.arg("tier", "result-cache");
             SubmitOutcome outcome;
             outcome.status = SubmitStatus::kOk;
-            outcome.result = *hit;
+            outcome.result = std::move(hit->result);
+            outcome.result_json = std::move(hit->json);
             outcome.cache_hit = true;
             outcome.latency_us =
                 std::chrono::duration<double, std::micro>(
@@ -292,7 +303,8 @@ SimulationEngine::submit(const SimRequest &request, bool allow_proxy)
             cache_.put(key, disk->second);
             SubmitOutcome outcome;
             outcome.status = SubmitStatus::kOk;
-            outcome.result = disk->second;
+            outcome.result = disk->second.result;
+            outcome.result_json = disk->second.json;
             outcome.disk_hit = true;
             outcome.latency_us =
                 std::chrono::duration<double, std::micro>(
@@ -345,20 +357,21 @@ void
 SimulationEngine::resolveViaBackend(const std::shared_ptr<Job> &job)
 {
     std::string error;
-    std::shared_ptr<const SimResult> result;
+    CachedResult cached;
     try {
-        result = backend_->resolve(job->request, job->key, &error);
+        if (auto result =
+                backend_->resolve(job->request, job->key, &error))
+            cached = encode(std::move(result));
     } catch (const std::exception &e) {
         error = e.what();
-        result = nullptr;
     }
 
     bool abort = false;
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        if (result != nullptr) {
+        if (cached.result != nullptr) {
             ++proxied_;
-            cache_.put(job->key, result);
+            cache_.put(job->key, cached);
             inflight_.erase(job->key);
         } else if (stopping_) {
             // The workers may already be gone — never park the job on
@@ -380,8 +393,8 @@ SimulationEngine::resolveViaBackend(const std::shared_ptr<Job> &job)
         std::lock_guard<std::mutex> job_lock(job->mutex);
         job->done = true;
         job->aborted = abort;
-        job->proxied = result != nullptr;
-        job->result = std::move(result);
+        job->proxied = cached.result != nullptr;
+        job->cached = std::move(cached);
         job->error = std::move(error);
     }
     job->cv.notify_all();
@@ -406,7 +419,7 @@ SimulationEngine::workerLoop()
             ++workers_busy_;
         }
 
-        std::shared_ptr<const SimResult> result;
+        CachedResult cached;
         std::string error;
         RunReport run;
         bool injected = false;
@@ -429,8 +442,8 @@ SimulationEngine::workerLoop()
                 run = runRecipe(job->request,
                                 synthesizeTraces(job->request),
                                 options_.scenario_window);
-                result =
-                    std::make_shared<const SimResult>(std::move(run.result));
+                cached = encode(
+                    std::make_shared<const SimResult>(std::move(run.result)));
             } catch (const std::exception &e) {
                 error = e.what();
             }
@@ -439,7 +452,7 @@ SimulationEngine::workerLoop()
         {
             std::lock_guard<std::mutex> lock(mutex_);
             --workers_busy_;
-            if (result != nullptr) {
+            if (const SimResult *result = cached.result.get()) {
                 ++sim_runs_;
                 if (!result->core_results.empty()) {
                     ++multicore_runs_;
@@ -494,7 +507,7 @@ SimulationEngine::workerLoop()
                         slot->distance_sum += core.min_distance;
                     }
                 }
-                cache_.put(job->key, result);
+                cache_.put(job->key, cached);
             } else {
                 ++failures_;
             }
@@ -503,7 +516,7 @@ SimulationEngine::workerLoop()
         {
             std::lock_guard<std::mutex> job_lock(job->mutex);
             job->done = true;
-            job->result = std::move(result);
+            job->cached = std::move(cached);
             job->error = std::move(error);
         }
         job->cv.notify_all();
@@ -599,12 +612,12 @@ SimulationEngine::saveResultCache(const std::string &path) const
         if (!os)
             return -1;
         std::lock_guard<std::mutex> lock(mutex_);
-        os << "sipre-results 4 " << cache_.size() << '\n';
+        os << "sipre-results " << kResultCacheVersion << ' '
+           << cache_.size() << '\n';
         cache_.forEach(
-            [&os](const std::string &key,
-                  const std::shared_ptr<const SimResult> &result) {
+            [&os](const std::string &key, const CachedResult &entry) {
                 os << key << '\n';
-                writeSimResultText(os, *result);
+                writeSimResultText(os, *entry.result);
             });
         if (!os) {
             std::remove(tmp.c_str());
@@ -627,23 +640,25 @@ SimulationEngine::loadResultCache(const std::string &path)
     int version = 0;
     std::size_t count = 0;
     is >> magic >> version >> count;
-    // v1 predates the scenario-timeline section; v3 keys predate the
-    // distance_provider field. Stale caches reload from scratch rather
-    // than misparse or alias old keys onto new requests.
-    if (magic != "sipre-results" || version != 4)
+    if (magic != "sipre-results" || version != kResultCacheVersion)
         return -1;
-    long loaded = 0;
+    // The file lists the LRU most recent first; put() makes each entry
+    // the most recent, so insert from the file's end.
+    std::vector<std::pair<std::string, CachedResult>> entries;
     for (std::size_t i = 0; i < count; ++i) {
         std::string key;
         is >> key;
         SimResult result;
         if (key.empty() || !readSimResultText(is, result))
             break;
-        std::lock_guard<std::mutex> lock(mutex_);
-        cache_.put(key, std::make_shared<const SimResult>(result));
-        ++loaded;
+        entries.emplace_back(
+            std::move(key),
+            encode(std::make_shared<const SimResult>(std::move(result))));
     }
-    return loaded;
+    std::lock_guard<std::mutex> lock(mutex_);
+    for (auto it = entries.rbegin(); it != entries.rend(); ++it)
+        cache_.put(it->first, std::move(it->second));
+    return static_cast<long>(entries.size());
 }
 
 } // namespace sipre::service

@@ -34,6 +34,14 @@
 namespace sipre::service
 {
 
+/**
+ * Version of the file saveResultCache writes. v1 predates the
+ * scenario-timeline section; v3 keys predate the distance_provider
+ * field. A file of any other version loads nothing, so stale keys never
+ * alias onto new requests. Encodings are not persisted.
+ */
+inline constexpr int kResultCacheVersion = 4;
+
 /** Engine sizing and cache layering knobs. */
 struct EngineOptions
 {
@@ -117,6 +125,8 @@ struct SubmitOutcome
 {
     SubmitStatus status = SubmitStatus::kFailed;
     std::shared_ptr<const SimResult> result; ///< valid when kOk
+    /// simResultToJson(*result), shared with the cache; valid when kOk.
+    std::shared_ptr<const std::string> result_json;
     std::string error;                       ///< set when not kOk
     bool cache_hit = false;  ///< served from the in-memory LRU
     bool disk_hit = false;   ///< served from the campaign disk cache
@@ -266,15 +276,34 @@ class SimulationEngine
 
     /**
      * Persist the LRU contents (MRU-first) to `path` in the campaign
-     * text format. Returns the number of entries written, or -1 on an
-     * unwritable path.
+     * text format, headed "sipre-results <kResultCacheVersion> <n>".
+     * Returns the number of entries written, or -1 on an unwritable
+     * path.
      */
     long saveResultCache(const std::string &path) const;
 
-    /** Load a previously saved result cache. Returns entries loaded. */
+    /**
+     * Load a previously saved result cache, keeping its recency order:
+     * the file's first entry becomes the most recently used, so a
+     * smaller capacity evicts the oldest entries. Returns entries
+     * loaded, or -1 on a missing file or another version.
+     */
     long loadResultCache(const std::string &path);
 
   private:
+    /**
+     * A result as the tiers and in-flight jobs hold it: the result and
+     * its simResultToJson encoding. encode() makes the encoding once,
+     * outside the engine lock, where the result enters a tier, and every
+     * reply that serves the result shares it.
+     */
+    struct CachedResult
+    {
+        std::shared_ptr<const SimResult> result;
+        std::shared_ptr<const std::string> json;
+    };
+    static CachedResult encode(std::shared_ptr<const SimResult> result);
+
     struct Job
     {
         std::string key;
@@ -290,7 +319,7 @@ class SimulationEngine
         bool aborted = false;
         bool proxied = false; ///< result came from the backend
 
-        std::shared_ptr<const SimResult> result;
+        CachedResult cached; ///< result null when failed or aborted
         std::string error;
     };
 
@@ -308,9 +337,8 @@ class SimulationEngine
     std::condition_variable queue_cv_;
     std::deque<std::shared_ptr<Job>> queue_;
     std::unordered_map<std::string, std::shared_ptr<Job>> inflight_;
-    LruCache<std::shared_ptr<const SimResult>> cache_;
-    std::unordered_map<std::string, std::shared_ptr<const SimResult>>
-        disk_cache_;
+    LruCache<CachedResult> cache_;
+    std::unordered_map<std::string, CachedResult> disk_cache_;
     bool stopping_ = false;
 
     // Counters (guarded by mutex_).

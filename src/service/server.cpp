@@ -345,21 +345,27 @@ ServiceServer::handleSimulate(const http::Request &request)
         break;
     }
 
-    std::ostringstream body;
-    body << "{\"status\":\"ok\",\"key\":\""
-         << jsonEscape(sim_request.canonicalKey()) << "\",\"cached\":"
-         << (outcome.cache_hit ? "true" : "false") << ",\"disk_cache\":"
-         << (outcome.disk_hit ? "true" : "false") << ",\"coalesced\":"
-         << (outcome.coalesced ? "true" : "false");
+    // The per-request fields, then the result's encoding as the engine
+    // made it once when the result entered its cache: a hit encodes
+    // nothing.
+    const std::string &result_json = *outcome.result_json;
+    std::string body;
+    body.reserve(1024 + result_json.size());
+    JsonSink os(body);
+    os << "{\"status\":\"ok\",\"key\":\""
+       << jsonEscape(sim_request.canonicalKey()) << "\",\"cached\":"
+       << (outcome.cache_hit ? "true" : "false") << ",\"disk_cache\":"
+       << (outcome.disk_hit ? "true" : "false") << ",\"coalesced\":"
+       << (outcome.coalesced ? "true" : "false");
     // Additive-only field: emitted solely when a cluster backend
     // resolved the request, so single-node response bodies stay
     // byte-identical.
     if (outcome.proxied)
-        body << ",\"proxied\":true";
-    body << ",\"latency_us\":" << jsonDouble(outcome.latency_us)
-         << ",\"request\":" << requestToJson(sim_request)
-         << ",\"result\":" << simResultToJson(*outcome.result) << "}";
-    return jsonResponse(200, body.str());
+        os << ",\"proxied\":true";
+    os << ",\"latency_us\":" << jsonDouble(outcome.latency_us)
+       << ",\"request\":" << requestToJson(sim_request)
+       << ",\"result\":" << result_json << '}';
+    return jsonResponse(200, std::move(body));
 }
 
 http::Response

@@ -456,6 +456,7 @@ TEST(ClusterProxy, NonOwnerProxiesToOwnerOnceAndCachesTheResult)
         postJson("/simulate", simulateBody("secret_crypto52", ftq)));
     ASSERT_EQ(repeat.status, 200);
     EXPECT_NE(repeat.body.find("\"cached\":true"), std::string::npos);
+    EXPECT_EQ(extractResultDocs(repeat.body), solo_docs);
     EXPECT_EQ(node_a.tier->stats().proxied, 1u);
     EXPECT_EQ(node_b.engine->stats().sim_runs, 1u);
 }

@@ -10,7 +10,9 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <fstream>
 #include <latch>
+#include <sstream>
 #include <thread>
 #include <vector>
 
@@ -266,6 +268,74 @@ TEST(ServiceEngine, ResultCacheFlushAndWarmStart)
     // The text round-trip is lossless (same serializer as the campaign
     // cache, proven lossless by its own tests).
     EXPECT_EQ(diffSimResults(*warm.result, first_result), "");
+    std::remove(path.c_str());
+}
+
+TEST(ServiceEngine, WarmStartKeepsRecencyOrder)
+{
+    const std::string path =
+        ::testing::TempDir() + "/sipre_service_recency.cache";
+    const SimRequest a = smallRequest("secret_crypto52", 2, 10'000);
+    const SimRequest b = smallRequest("secret_crypto52", 4, 10'000);
+    const SimRequest c = smallRequest("secret_crypto52", 8, 10'000);
+    {
+        EngineOptions options;
+        options.workers = 1;
+        options.cache_capacity = 3;
+        SimulationEngine engine(options);
+        for (const SimRequest &request : {a, b, c, a})
+            ASSERT_EQ(engine.submit(request).status, SubmitStatus::kOk);
+        // Most recent first: a, c, b.
+        ASSERT_EQ(engine.saveResultCache(path), 3);
+    }
+
+    // A smaller capacity keeps the two most recent entries, a and c.
+    EngineOptions options;
+    options.workers = 1;
+    options.cache_capacity = 2;
+    SimulationEngine engine(options);
+    EXPECT_EQ(engine.loadResultCache(path), 3);
+    EXPECT_EQ(engine.stats().cache_entries, 2u);
+    EXPECT_TRUE(engine.submit(a).cache_hit);
+    EXPECT_TRUE(engine.submit(c).cache_hit);
+    EXPECT_EQ(engine.stats().sim_runs, 0u);
+    EXPECT_FALSE(engine.submit(b).cache_hit);
+    EXPECT_EQ(engine.stats().sim_runs, 1u);
+    std::remove(path.c_str());
+}
+
+TEST(ServiceEngine, StaleResultCacheVersionIsRejected)
+{
+    const std::string path =
+        ::testing::TempDir() + "/sipre_service_stale.cache";
+    const SimRequest request = smallRequest("secret_crypto52", 4, 10'000);
+    {
+        EngineOptions options;
+        options.workers = 1;
+        SimulationEngine engine(options);
+        ASSERT_EQ(engine.submit(request).status, SubmitStatus::kOk);
+        ASSERT_EQ(engine.saveResultCache(path), 1);
+    }
+    // The same file, headed by the previous version.
+    std::string text;
+    {
+        std::ifstream is(path);
+        std::ostringstream contents;
+        contents << is.rdbuf();
+        text = contents.str();
+    }
+    const std::string current =
+        "sipre-results " + std::to_string(kResultCacheVersion) + " ";
+    ASSERT_EQ(text.rfind(current, 0), 0u) << text.substr(0, 40);
+    text.replace(0, current.size(), "sipre-results 3 ");
+    std::ofstream(path) << text;
+
+    EngineOptions options;
+    options.workers = 1;
+    SimulationEngine engine(options);
+    EXPECT_EQ(engine.loadResultCache(path), -1);
+    EXPECT_EQ(engine.stats().cache_entries, 0u);
+    EXPECT_FALSE(engine.submit(request).cache_hit);
     std::remove(path.c_str());
 }
 

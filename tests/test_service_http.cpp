@@ -8,6 +8,7 @@
  */
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <latch>
 #include <optional>
 #include <string>
@@ -381,7 +382,27 @@ TEST(ServiceHttp, LoopbackColdIsBitIdenticalAndRepeatIsCached)
     EXPECT_EQ(
         metricValue(metrics.body, "sipre_request_latency_us_count"), 2u);
 
+    // A warm start: another engine loads this one's saved cache and
+    // serves the same bytes without simulating.
+    const std::string path =
+        ::testing::TempDir() + "/sipre_http_warm_start.cache";
+    ASSERT_EQ(engine.saveResultCache(path), 1);
     server.shutdown();
+    SimulationEngine warm_engine(engine_options);
+    ASSERT_EQ(warm_engine.loadResultCache(path), 1);
+    std::remove(path.c_str());
+    ServiceServer warm_server(warm_engine, ServerOptions{});
+    ASSERT_TRUE(warm_server.start(&error)) << error;
+    const http::Response restarted =
+        call(warm_server.port(),
+             postSimulate(simulateBody("secret_crypto52", 4)));
+    ASSERT_EQ(restarted.status, 200);
+    EXPECT_NE(restarted.body.find("\"cached\":true"), std::string::npos);
+    EXPECT_NE(restarted.body.find(",\"result\":" + direct_json + "}"),
+              std::string::npos)
+        << "a warm-started reply is not bit-identical to the direct run";
+    EXPECT_EQ(warm_engine.stats().sim_runs, 0u);
+    warm_server.shutdown();
 }
 
 TEST(ServiceHttp, MulticoreRequestCarriesSharedStateAndMetrics)
@@ -471,10 +492,18 @@ TEST(ServiceHttp, LoopbackConcurrentDuplicatesRunOneSimulation)
     for (auto &thread : pool)
         thread.join();
 
+    // Every reply carries the same result document, whether it ran
+    // the simulation, coalesced onto it or hit the cache afterwards.
+    const auto result_doc = [](const std::string &reply) {
+        const std::size_t at = reply.find(",\"result\":");
+        return at == std::string::npos ? std::string() : reply.substr(at);
+    };
     for (const auto &response : responses) {
         ASSERT_EQ(response.status, 200);
         EXPECT_NE(response.body.find("\"status\":\"ok\""),
                   std::string::npos);
+        EXPECT_NE(result_doc(response.body), "");
+        EXPECT_EQ(result_doc(response.body), result_doc(responses[0].body));
     }
     const http::Response metrics =
         call(server.port(), get("/metrics"));
