@@ -26,7 +26,7 @@ Cfg::build(const Trace &trace,
         static_instrs.emplace(inst.pc, inst.size);
         if (inst.isBranch()) {
             if (inst.taken)
-                leaders.insert(inst.target);
+                leaders.insert(inst.addr);
             if (i + 1 < trace.size())
                 leaders.insert(trace[i + 1].pc);
         }
@@ -137,7 +137,7 @@ Cfg::build(const Trace &trace,
             } else if (inst.cls == InstClass::kReturn && !stack.empty()) {
                 const Frame frame = stack.back();
                 stack.pop_back();
-                if (inst.target == frame.continuation_pc) {
+                if (inst.addr == frame.continuation_pc) {
                     auto cont = cfg.by_start_.find(frame.continuation_pc);
                     if (cont != cfg.by_start_.end()) {
                         Agg &agg = bypass[cont->second];

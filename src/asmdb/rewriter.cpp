@@ -1,10 +1,8 @@
 #include "asmdb/rewriter.hpp"
 
 #include <algorithm>
-#include <unordered_map>
 #include <unordered_set>
-
-#include "util/logging.hpp"
+#include <vector>
 
 namespace sipre::asmdb
 {
@@ -17,66 +15,76 @@ rewriteTrace(const Trace &original, const AsmdbPlan &plan,
     result.trace.setName(original.name() + "+asmdb");
     result.trace.setSeed(original.seed());
     result.original_dynamic = original.size();
-    result.trace.reserve(original.size() + original.size() / 16);
-
-    // Group insertions by site. A ranged (coalesced) prefetch encodes
-    // its line count in the low bits of the line-aligned target.
-    std::unordered_map<Addr, std::vector<Addr>> by_site;
-    for (const Insertion &ins : plan.insertions) {
-        by_site[ins.site_pc].push_back(ins.target_line |
-                                       Addr{ins.range - 1u});
-    }
-    for (auto &[site, targets] : by_site)
-        std::sort(targets.begin(), targets.end());
     result.inserted_static = plan.insertions.size();
 
+    // The prefetches planned at each site, sorted, as the no-overhead
+    // mode fires them.
+    const SwPrefetchTriggers by_site = buildTriggers(plan);
+
+    // Pass 1: find where prefetches go, so the rewritten trace is
+    // allocated once at its exact size. Prefetches belong to the
+    // fallthrough path within the site block: emit them only when
+    // control reaches the site's terminating instruction sequentially
+    // (a jump directly to the terminator skips block-body code,
+    // including our insertion).
+    struct Emission
+    {
+        std::size_t index;            ///< site instruction in `original`
+        const std::vector<Addr> *pfs; ///< its encoded prefetch targets
+    };
+    std::vector<Emission> emissions;
     std::unordered_set<Addr> unique_pcs;
     unique_pcs.reserve(original.size() / 8);
-
     for (std::size_t i = 0; i < original.size(); ++i) {
         const TraceInstruction &inst = original[i];
         unique_pcs.insert(inst.pc);
-
-        // Prefetches belong to the fallthrough path within the site
-        // block: emit them only when control reaches the site's
-        // terminating instruction sequentially (a jump directly to the
-        // terminator skips block-body code, including our insertion).
-        auto site = by_site.find(inst.pc);
-        if (site != by_site.end() && i > 0) {
-            const TraceInstruction &prev = original[i - 1];
-            const bool fallthrough =
-                !(prev.isBranch() && prev.taken) &&
-                prev.nextPc() == inst.pc;
-            if (fallthrough) {
-                const Addr base = layout.map(inst.pc) -
-                                  4 * site->second.size();
-                for (std::size_t k = 0; k < site->second.size(); ++k) {
-                    const Addr encoded = site->second[k];
-                    TraceInstruction pf;
-                    pf.pc = base + 4 * k;
-                    pf.cls = InstClass::kSwPrefetch;
-                    pf.target = layout.mapLine(encoded & ~Addr{63}) |
-                                (encoded & Addr{63});
-                    result.trace.append(pf);
-                    ++result.inserted_dynamic;
-                }
-            }
+        if (i == 0)
+            continue;
+        const auto site = by_site.find(inst.pc);
+        if (site == by_site.end())
+            continue;
+        const TraceInstruction &prev = original[i - 1];
+        if (!(prev.isBranch() && prev.taken) && prev.nextPc() == inst.pc) {
+            emissions.push_back(Emission{i, &site->second});
+            result.inserted_dynamic += site->second.size();
         }
+    }
+    result.original_static = unique_pcs.size();
 
+    // Pass 2: write every instruction once, remapped, with the site's
+    // prefetches just before it.
+    result.trace.reserve(original.size() + result.inserted_dynamic);
+    auto next = emissions.begin();
+    for (std::size_t i = 0; i < original.size(); ++i) {
+        const TraceInstruction &inst = original[i];
         TraceInstruction moved = inst;
         moved.pc = layout.map(inst.pc);
+        if (next != emissions.end() && next->index == i) {
+            const std::vector<Addr> &pfs = *next->pfs;
+            const Addr base = moved.pc - 4 * pfs.size();
+            for (std::size_t k = 0; k < pfs.size(); ++k) {
+                // Remap the line; keep a ranged prefetch's line count.
+                TraceInstruction pf;
+                pf.pc = base + 4 * k;
+                pf.cls = InstClass::kSwPrefetch;
+                pf.addr = layout.mapLine(pfs[k] & ~Addr{63}) |
+                          (pfs[k] & Addr{63});
+                result.trace.append(pf);
+            }
+            ++next;
+        }
         if (inst.isBranch() && inst.taken)
-            moved.target = layout.map(inst.target);
+            moved.addr = layout.map(inst.addr);
         result.trace.append(moved);
     }
-
-    result.original_static = unique_pcs.size();
     return result;
 }
 
 SwPrefetchTriggers
 buildTriggers(const AsmdbPlan &plan)
 {
+    // A ranged (coalesced) prefetch encodes its line count in the low
+    // bits of the line-aligned target.
     SwPrefetchTriggers triggers;
     for (const Insertion &ins : plan.insertions) {
         triggers[ins.site_pc].push_back(ins.target_line |

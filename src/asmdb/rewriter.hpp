@@ -52,7 +52,8 @@ struct RewriteResult
  * Rewrite a trace per the plan: prefetches are inserted at the end of
  * their site blocks (before the terminating instruction), all PCs and
  * branch targets are remapped through the new layout, and prefetch
- * targets point at the *new* location of the targeted line.
+ * targets point at the *new* location of the targeted line. The
+ * rewritten trace is allocated once, at its exact size.
  */
 RewriteResult rewriteTrace(const Trace &original, const AsmdbPlan &plan,
                            const CodeLayout &layout);

@@ -197,7 +197,7 @@ Backend::issue(Cycle now)
                 return;
             }
             const ReqId id =
-                memory_.issueLoad(inst.mem_addr, now, inst.pc);
+                memory_.issueLoad(inst.addr, now, inst.pc);
             inflight_loads_.insert(id, seq);
             slot_state_[slot] =
                 static_cast<std::uint8_t>(State::kWaitingMem);
@@ -208,7 +208,7 @@ Backend::issue(Cycle now)
                 leftover = true; // ready but port/queue-blocked
                 return;
             }
-            memory_.issueStore(inst.mem_addr, now);
+            memory_.issueStore(inst.addr, now);
             slot_state_[slot] = static_cast<std::uint8_t>(State::kExecuting);
             exec_done_.push(ExecEvent{now + config_.alu_latency, seq});
             --store_ports;

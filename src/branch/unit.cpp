@@ -170,15 +170,15 @@ BranchUnit::resolve(const TraceInstruction &br, const BranchPrediction &pred)
     if (br.taken) {
         if (!pred.btb_hit)
             ++stats_.btb_miss_taken;
-        btb_.update(br.pc, br.target, br.cls);
+        btb_.update(br.pc, br.addr, br.cls);
         if (pred.btb_hit && pred.predicted_taken &&
-            pred.predicted_target != br.target) {
+            pred.predicted_target != br.addr) {
             ++stats_.target_mispredictions;
         }
     }
 
     if (br.isIndirect() && br.cls != InstClass::kReturn)
-        indirect_.update(br.pc, pred.path_before, br.target);
+        indirect_.update(br.pc, pred.path_before, br.addr);
 }
 
 void
@@ -190,10 +190,10 @@ BranchUnit::replayCommitted(const TraceInstruction &br, bool btb_hit_now)
         if (visible)
             ghr_.shift(br.taken);
         if (br.taken)
-            shiftPath(br.target);
+            shiftPath(br.addr);
     } else if (br.taken) {
         ghr_.shift(true);
-        shiftPath(br.target);
+        shiftPath(br.addr);
     }
     // Re-execute speculative RAS effects of the committed path.
     if (br.cls == InstClass::kCall || br.cls == InstClass::kIndirectCall)

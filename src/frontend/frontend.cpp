@@ -230,7 +230,7 @@ DecoupledFrontEnd::probeAgreesAt(std::uint64_t index)
         return !inst.taken; // BTB miss: fetch-ahead falls through
     if (pred->taken != inst.taken)
         return false;
-    return !inst.taken || pred->target == inst.target;
+    return !inst.taken || pred->target == inst.addr;
 }
 
 void
@@ -381,7 +381,7 @@ DecoupledFrontEnd::firePredecode(const FtqEntry &entry, Cycle now)
          i < entry.first_index + entry.count; ++i) {
         const TraceInstruction &inst = trace_[i];
         if (inst.isSwPrefetch())
-            fire(inst.target);
+            fire(inst.addr);
         if (triggers_ != nullptr) {
             auto it = triggers_->find(inst.pc);
             if (it != triggers_->end()) {
@@ -413,7 +413,7 @@ DecoupledFrontEnd::resumeFromStall(Cycle now)
     // Make the branch visible to the BTB immediately so tight loops
     // around the same branch hit on re-encounter.
     if (br.taken)
-        unit_.btb().update(br.pc, br.target, br.cls);
+        unit_.btb().update(br.pc, br.addr, br.cls);
 
     if (stall_ == StallReason::kMispredict)
         stats_.stall_cycles_mispredict += now - stall_begin_;
@@ -501,7 +501,7 @@ DecoupledFrontEnd::allocateBlocks(Cycle now)
 
                 const bool actual_taken = inst.taken;
                 const Addr actual_target =
-                    actual_taken ? inst.target : inst.nextPc();
+                    actual_taken ? inst.addr : inst.nextPc();
                 bool wrong =
                     pending.pred.predicted_taken != actual_taken ||
                     (actual_taken &&
@@ -513,7 +513,7 @@ DecoupledFrontEnd::allocateBlocks(Cycle now)
                     unit_.repairHistory(pending.checkpoint, inst,
                                         pending.pred.btb_hit);
                     if (inst.taken)
-                        unit_.btb().update(inst.pc, inst.target,
+                        unit_.btb().update(inst.pc, inst.addr,
                                            inst.cls);
                     wrong = false;
                 }

@@ -218,7 +218,8 @@ SimulationEngine::recordLatencyLocked(double us)
 }
 
 SubmitOutcome
-SimulationEngine::waitForJob(const std::shared_ptr<Job> &job, bool coalesced,
+SimulationEngine::waitForJob(const std::shared_ptr<Job> &job,
+                             SubmitOutcome outcome,
                              std::chrono::steady_clock::time_point start)
 {
     {
@@ -226,8 +227,6 @@ SimulationEngine::waitForJob(const std::shared_ptr<Job> &job, bool coalesced,
         job->cv.wait(job_lock, [&] { return job->done; });
     }
 
-    SubmitOutcome outcome;
-    outcome.coalesced = coalesced;
     const double us =
         std::chrono::duration<double, std::micro>(
             std::chrono::steady_clock::now() - start)
@@ -256,20 +255,20 @@ SubmitOutcome
 SimulationEngine::submit(const SimRequest &request, bool allow_proxy)
 {
     const auto start = std::chrono::steady_clock::now();
-    const std::string key = request.canonicalKey();
+    SubmitOutcome outcome;
+    outcome.key = request.canonicalKey();
+    const std::string &key = outcome.key;
 
     trace_obs::Span span("engine.submit", "service");
     span.arg("workload", request.workload);
 
     std::shared_ptr<Job> job;
-    bool coalesced = false;
     bool proxy_here = false;
     {
         std::unique_lock<std::mutex> lock(mutex_);
         ++requests_;
         if (stopping_) {
             span.arg("tier", "shutdown");
-            SubmitOutcome outcome;
             outcome.status = SubmitStatus::kShutdown;
             outcome.error = "engine shutting down";
             return outcome;
@@ -278,7 +277,6 @@ SimulationEngine::submit(const SimRequest &request, bool allow_proxy)
         if (auto hit = cache_.get(key)) {
             ++cache_hits_;
             span.arg("tier", "result-cache");
-            SubmitOutcome outcome;
             outcome.status = SubmitStatus::kOk;
             outcome.result = std::move(hit->result);
             outcome.result_json = std::move(hit->json);
@@ -294,14 +292,13 @@ SimulationEngine::submit(const SimRequest &request, bool allow_proxy)
         if (const auto it = inflight_.find(key); it != inflight_.end()) {
             ++coalesced_;
             job = it->second;
-            coalesced = true;
+            outcome.coalesced = true;
             span.arg("tier", "coalesced");
         } else if (const auto disk = disk_cache_.find(key);
                    disk != disk_cache_.end()) {
             ++disk_hits_;
             span.arg("tier", "campaign-cache");
             cache_.put(key, disk->second);
-            SubmitOutcome outcome;
             outcome.status = SubmitStatus::kOk;
             outcome.result = disk->second.result;
             outcome.result_json = disk->second.json;
@@ -330,7 +327,6 @@ SimulationEngine::submit(const SimRequest &request, bool allow_proxy)
             if (queue_.size() >= options_.queue_capacity) {
                 ++rejected_;
                 span.arg("tier", "rejected");
-                SubmitOutcome outcome;
                 outcome.status = SubmitStatus::kRejected;
                 outcome.error = "queue full (" +
                                 std::to_string(queue_.size()) + "/" +
@@ -350,7 +346,7 @@ SimulationEngine::submit(const SimRequest &request, bool allow_proxy)
     }
     if (proxy_here)
         resolveViaBackend(job);
-    return waitForJob(job, coalesced, start);
+    return waitForJob(job, std::move(outcome), start);
 }
 
 void

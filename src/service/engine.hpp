@@ -124,6 +124,8 @@ enum class SubmitStatus : std::uint8_t {
 struct SubmitOutcome
 {
     SubmitStatus status = SubmitStatus::kFailed;
+    /// The request's canonicalKey(), built once to look the tiers up.
+    std::string key;
     std::shared_ptr<const SimResult> result; ///< valid when kOk
     /// simResultToJson(*result), shared with the cache; valid when kOk.
     std::shared_ptr<const std::string> result_json;
@@ -326,7 +328,7 @@ class SimulationEngine
     void workerLoop();
     void resolveViaBackend(const std::shared_ptr<Job> &job);
     SubmitOutcome waitForJob(const std::shared_ptr<Job> &job,
-                             bool coalesced,
+                             SubmitOutcome outcome,
                              std::chrono::steady_clock::time_point start);
     void recordLatencyLocked(double us);
 

@@ -353,7 +353,7 @@ ServiceServer::handleSimulate(const http::Request &request)
     body.reserve(1024 + result_json.size());
     JsonSink os(body);
     os << "{\"status\":\"ok\",\"key\":\""
-       << jsonEscape(sim_request.canonicalKey()) << "\",\"cached\":"
+       << jsonEscape(outcome.key) << "\",\"cached\":"
        << (outcome.cache_hit ? "true" : "false") << ",\"disk_cache\":"
        << (outcome.disk_hit ? "true" : "false") << ",\"coalesced\":"
        << (outcome.coalesced ? "true" : "false");

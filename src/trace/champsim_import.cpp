@@ -132,8 +132,8 @@ importChampsimTrace(std::istream &is, Trace &trace,
         if (inst.isBranch()) {
             inst.taken = r.branch_taken != 0;
             if (i + 1 < records.size())
-                inst.target = inst.taken ? records[i + 1].ip : 0;
-            if (inst.taken && inst.target == 0)
+                inst.addr = inst.taken ? records[i + 1].ip : 0;
+            if (inst.taken && inst.addr == 0)
                 inst.taken = false; // trailing taken branch: drop intent
             if (inst.isUnconditional() && !inst.taken) {
                 // The format occasionally marks unconditional branches
@@ -147,11 +147,11 @@ importChampsimTrace(std::istream &is, Trace &trace,
             const std::size_t pool_size = inst.isLoad() ? 4 : 2;
             for (std::size_t m = 0; m < pool_size; ++m) {
                 if (pool[m] != 0) {
-                    inst.mem_addr = pool[m];
+                    inst.addr = pool[m];
                     break;
                 }
             }
-            if (inst.mem_addr == 0)
+            if (inst.addr == 0)
                 inst.cls = InstClass::kAlu;
         }
 
@@ -166,14 +166,14 @@ importChampsimTrace(std::istream &is, Trace &trace,
 
         // Control-flow repair: if the next record does not follow
         // sequentially and this instruction is not a taken branch,
-        // convert it into a taken direct jump to the next PC.
+        // convert it into a taken direct jump to the next PC. The jump
+        // target replaces any effective address the record carried.
         if (i + 1 < records.size() && !(inst.isBranch() && inst.taken)) {
             const std::uint64_t next_ip = records[i + 1].ip;
             if (next_ip != inst.pc + inst.size) {
                 inst.cls = InstClass::kDirectJump;
                 inst.taken = true;
-                inst.target = next_ip;
-                inst.mem_addr = 0;
+                inst.addr = next_ip;
                 inst.dst = kNoReg;
             }
         }

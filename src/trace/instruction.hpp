@@ -74,17 +74,39 @@ isUnconditionalClass(InstClass cls)
     return isBranchClass(cls) && cls != InstClass::kCondBranch;
 }
 
+/** What a record's one address means; its class decides. */
+enum class AddrKind : std::uint8_t {
+    kNone,      ///< the class uses no address; it is 0
+    kTarget,    ///< branch target or software-prefetch target
+    kEffective, ///< load/store effective address
+};
+
+/** The meaning of the address for an instruction of class `cls`. */
+constexpr AddrKind
+addrKindOf(InstClass cls)
+{
+    if (isBranchClass(cls) || cls == InstClass::kSwPrefetch)
+        return AddrKind::kTarget;
+    if (cls == InstClass::kLoad || cls == InstClass::kStore)
+        return AddrKind::kEffective;
+    return AddrKind::kNone;
+}
+
 /**
  * One executed (retired-path) instruction.
  *
  * The trace records the committed path only; wrong-path execution is
  * modeled in the timing simulator as fetch bubbles, as in ChampSim.
+ *
+ * A record holds one address, and its class decides what it means
+ * (addrKindOf): the target of a branch or software prefetch, the
+ * effective address of a load or store, and 0 for every other class.
+ * No class needs two, so a record is 24 bytes.
  */
 struct TraceInstruction
 {
     Addr pc = 0;            ///< virtual address of the instruction
-    Addr target = 0;        ///< branch target / sw-prefetch target address
-    Addr mem_addr = 0;      ///< load/store effective address (0 if none)
+    Addr addr = 0;          ///< target or effective address, per cls
     InstClass cls = InstClass::kAlu;
     std::uint8_t size = 4;  ///< instruction bytes
     bool taken = false;     ///< branch outcome (committed)
@@ -98,10 +120,13 @@ struct TraceInstruction
     bool isStore() const { return cls == InstClass::kStore; }
     bool isMemory() const { return isLoad() || isStore(); }
     bool isSwPrefetch() const { return cls == InstClass::kSwPrefetch; }
+    AddrKind addrKind() const { return addrKindOf(cls); }
 
     /** Address of the sequential successor. */
     Addr nextPc() const { return pc + size; }
 };
+static_assert(sizeof(TraceInstruction) == 24,
+              "one address per record: a trace record is 24 bytes");
 
 } // namespace sipre
 

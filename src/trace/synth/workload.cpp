@@ -268,7 +268,7 @@ class Walker
             inst.dst = static_cast<RegId>(1 + ((h >> 8) & 0x1f));
 
         if (inst.isMemory())
-            inst.mem_addr = dataAddress(h, fn_id);
+            inst.addr = dataAddress(h, fn_id);
         trace.append(inst);
     }
 
@@ -409,7 +409,7 @@ class Walker
         inst.pc = pc;
         inst.cls = cls;
         inst.taken = taken;
-        inst.target = target;
+        inst.addr = target;
         // Branches carry no register dependencies in this model so that
         // resolution latency reflects the pipeline, not a random data
         // dependence on an arbitrarily old producer.

@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <cstring>
 #include <memory>
+#include <optional>
 
 namespace sipre
 {
@@ -13,12 +14,16 @@ namespace
 constexpr char kMagic[4] = {'S', 'I', 'P', 'T'};
 constexpr std::uint32_t kVersion = 1;
 
-/** Packed on-disk record (fixed layout, little-endian hosts only). */
+/**
+ * Packed on-disk record (fixed layout, little-endian hosts only). The
+ * record's one address goes in the slot its class uses; the other
+ * slot is 0.
+ */
 struct PackedRecord
 {
     std::uint64_t pc;
-    std::uint64_t target;
-    std::uint64_t mem_addr;
+    std::uint64_t target;   ///< branch or software-prefetch target
+    std::uint64_t mem_addr; ///< load/store effective address
     std::uint8_t cls;
     std::uint8_t size;
     std::uint8_t taken;
@@ -29,11 +34,42 @@ struct PackedRecord
 };
 static_assert(sizeof(PackedRecord) == 32, "trace record layout drifted");
 
+/** The slot of `rec` that holds an address of `kind`; null for none. */
+std::uint64_t *
+addrSlot(PackedRecord &rec, AddrKind kind)
+{
+    switch (kind) {
+      case AddrKind::kTarget:
+        return &rec.target;
+      case AddrKind::kEffective:
+        return &rec.mem_addr;
+      case AddrKind::kNone:
+        break;
+    }
+    return nullptr;
+}
+
 struct FileCloser
 {
     void operator()(std::FILE *f) const { std::fclose(f); }
 };
 using FilePtr = std::unique_ptr<std::FILE, FileCloser>;
+
+/**
+ * Bytes from `f`'s position to its end, or nullopt when `f` cannot
+ * seek (a pipe). No size that a file's header claims may exceed it.
+ */
+std::optional<std::uint64_t>
+bytesLeft(std::FILE *f)
+{
+    const long here = std::ftell(f);
+    if (here < 0 || std::fseek(f, 0, SEEK_END) != 0)
+        return std::nullopt;
+    const long end = std::ftell(f);
+    if (end < here || std::fseek(f, here, SEEK_SET) != 0)
+        return std::nullopt;
+    return static_cast<std::uint64_t>(end - here);
+}
 
 } // namespace
 
@@ -65,8 +101,8 @@ Trace::save(const std::string &path) const
     for (const auto &inst : instructions_) {
         PackedRecord rec{};
         rec.pc = inst.pc;
-        rec.target = inst.target;
-        rec.mem_addr = inst.mem_addr;
+        if (std::uint64_t *slot = addrSlot(rec, inst.addrKind()))
+            *slot = inst.addr;
         rec.cls = static_cast<std::uint8_t>(inst.cls);
         rec.size = inst.size;
         rec.taken = inst.taken ? 1 : 0;
@@ -98,6 +134,9 @@ Trace::load(const std::string &path)
     std::uint32_t name_len = 0;
     if (std::fread(&name_len, sizeof name_len, 1, f.get()) != 1)
         return false;
+    const std::optional<std::uint64_t> name_bytes = bytesLeft(f.get());
+    if (name_bytes && name_len > *name_bytes)
+        return false;
     name_.resize(name_len);
     if (name_len > 0 &&
         std::fread(name_.data(), 1, name_len, f.get()) != name_len)
@@ -109,17 +148,31 @@ Trace::load(const std::string &path)
     if (std::fread(&count, sizeof count, 1, f.get()) != 1)
         return false;
 
+    // Reserve only a count the rest of the file can hold: a 29-byte
+    // file may claim 2^60 records.
+    const std::optional<std::uint64_t> record_bytes = bytesLeft(f.get());
+    if (record_bytes && count > *record_bytes / sizeof(PackedRecord))
+        return false;
     instructions_.clear();
-    instructions_.reserve(count);
+    if (record_bytes)
+        instructions_.reserve(count);
     for (std::uint64_t i = 0; i < count; ++i) {
         PackedRecord rec{};
         if (std::fread(&rec, sizeof rec, 1, f.get()) != 1)
             return false;
+        if (rec.cls >= static_cast<std::uint8_t>(InstClass::kNumClasses))
+            return false;
         TraceInstruction inst;
         inst.pc = rec.pc;
-        inst.target = rec.target;
-        inst.mem_addr = rec.mem_addr;
         inst.cls = static_cast<InstClass>(rec.cls);
+        if (std::uint64_t *slot = addrSlot(rec, inst.addrKind())) {
+            inst.addr = *slot;
+            *slot = 0;
+        }
+        // An address in a slot the class does not use: not a record
+        // that save() writes.
+        if (rec.target != 0 || rec.mem_addr != 0)
+            return false;
         inst.size = rec.size;
         inst.taken = rec.taken != 0;
         inst.dst = rec.dst;

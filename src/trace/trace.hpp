@@ -70,10 +70,8 @@ class Trace
             return;
         for (TraceInstruction &inst : instructions_) {
             inst.pc += offset;
-            if (inst.target != 0)
-                inst.target += offset;
-            if (inst.mem_addr != 0)
-                inst.mem_addr += offset;
+            if (inst.addr != 0)
+                inst.addr += offset;
         }
     }
 
@@ -86,7 +84,11 @@ class Trace
      */
     bool save(const std::string &path) const;
 
-    /** Deserialize from the binary format. Returns false on failure. */
+    /**
+     * Deserialize from the binary format. Returns false on failure: an
+     * I/O error, a name or record count the file cannot hold, an
+     * unknown class, or an address in a slot its class does not use.
+     */
     bool load(const std::string &path);
 
   private:

@@ -70,21 +70,21 @@ validateTrace(const Trace &trace, std::string *error)
             return fail(i, "zero-size instruction");
         if (inst.isUnconditional() && !inst.taken)
             return fail(i, "unconditional branch marked not-taken");
-        if (inst.isBranch() && inst.taken && inst.target == 0)
+        if (inst.isBranch() && inst.taken && inst.addr == 0)
             return fail(i, "taken branch without a target");
         if (!inst.isBranch() && !inst.isSwPrefetch() && inst.taken)
             return fail(i, "non-branch marked taken");
-        if (inst.isMemory() && inst.mem_addr == 0)
+        if (inst.isMemory() && inst.addr == 0)
             return fail(i, "memory instruction without an address");
-        if (!inst.isMemory() && inst.mem_addr != 0)
-            return fail(i, "non-memory instruction with an address");
-        if (inst.isSwPrefetch() && inst.target == 0)
+        if (inst.addrKind() == AddrKind::kNone && inst.addr != 0)
+            return fail(i, "address on a class that takes none");
+        if (inst.isSwPrefetch() && inst.addr == 0)
             return fail(i, "software prefetch without a target");
 
         if (i + 1 < trace.size()) {
             const auto &next = trace[i + 1];
             const Addr expected =
-                (inst.isBranch() && inst.taken) ? inst.target : inst.nextPc();
+                (inst.isBranch() && inst.taken) ? inst.addr : inst.nextPc();
             if (next.pc != expected)
                 return fail(i, "control flow does not reach successor pc");
         }

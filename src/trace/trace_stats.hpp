@@ -54,7 +54,8 @@ TraceStats computeTraceStats(const Trace &trace);
  *  - taken control flow lands on its recorded target,
  *  - not-taken / sequential flow lands on pc + size,
  *  - unconditional branches are always taken,
- *  - memory classes carry an effective address, non-memory ones do not.
+ *  - memory classes carry an effective address, and a class that
+ *    takes no address (addrKindOf) carries none.
  */
 bool validateTrace(const Trace &trace, std::string *error = nullptr);
 

@@ -33,10 +33,10 @@ writeTraceText(const Trace &trace, std::ostream &os)
     os << std::hex;
     for (const auto &inst : trace) {
         os << inst.pc << ' ' << instClassName(inst.cls);
-        if (inst.isBranch() || inst.isSwPrefetch())
-            os << " t=" << inst.target;
-        if (inst.isMemory())
-            os << " m=" << inst.mem_addr;
+        if (inst.addrKind() == AddrKind::kTarget)
+            os << " t=" << inst.addr;
+        else if (inst.addrKind() == AddrKind::kEffective)
+            os << " m=" << inst.addr;
         if (inst.taken)
             os << " taken";
         os << std::dec;
@@ -90,11 +90,16 @@ readTraceText(std::istream &is, Trace &trace, std::string *error)
         std::string token;
         while (ls >> token) {
             try {
-                if (token.rfind("t=", 0) == 0) {
-                    inst.target = std::stoull(token.substr(2), nullptr, 16);
-                } else if (token.rfind("m=", 0) == 0) {
-                    inst.mem_addr =
-                        std::stoull(token.substr(2), nullptr, 16);
+                const bool is_target = token.rfind("t=", 0) == 0;
+                if (is_target || token.rfind("m=", 0) == 0) {
+                    const AddrKind kind = is_target ? AddrKind::kTarget
+                                                    : AddrKind::kEffective;
+                    if (inst.addrKind() != kind) {
+                        return fail("class '" + cls_str +
+                                    "' takes no " + token.substr(0, 2) +
+                                    " address");
+                    }
+                    inst.addr = std::stoull(token.substr(2), nullptr, 16);
                 } else if (token == "taken") {
                     inst.taken = true;
                 } else if (token.rfind("d=", 0) == 0) {

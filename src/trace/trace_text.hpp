@@ -7,6 +7,9 @@
  * Line format (whitespace separated):
  *   <pc-hex> <class> [t=<target-hex>] [m=<addr-hex>] [taken]
  *           [d=<reg>] [s=<reg>[,<reg>]]
+ *
+ * `t=` belongs to branches and software prefetches and `m=` to loads
+ * and stores (addrKindOf); the reader rejects either on another class.
  */
 #ifndef SIPRE_TRACE_TRACE_TEXT_HPP
 #define SIPRE_TRACE_TRACE_TEXT_HPP

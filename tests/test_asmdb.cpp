@@ -33,7 +33,7 @@ branch(Addr pc, bool taken, Addr target,
     inst.pc = pc;
     inst.cls = cls;
     inst.taken = taken;
-    inst.target = target;
+    inst.addr = target;
     return inst;
 }
 
@@ -305,7 +305,7 @@ TEST(Rewriter, InsertsPrefetchBeforeSiteAndStaysValid)
         if (result.trace[i].isSwPrefetch()) {
             found = true;
             EXPECT_EQ(result.trace[i + 1].pc, layout.map(0x103c));
-            EXPECT_EQ(result.trace[i].target, layout.mapLine(0x4000));
+            EXPECT_EQ(result.trace[i].addr, layout.mapLine(0x4000));
         }
     }
     EXPECT_TRUE(found);
@@ -340,9 +340,27 @@ TEST(Rewriter, JumpTargetsRemapped)
         const auto &inst = result.trace[i];
         if (inst.isBranch() && inst.taken &&
             i + 1 < result.trace.size()) {
-            EXPECT_EQ(result.trace[i + 1].pc, inst.target);
+            EXPECT_EQ(result.trace[i + 1].pc, inst.addr);
         }
     }
+}
+
+// Two prefetches at each of three sites execute 30 times in a
+// 320-instruction trace, more than a sixteenth of it: the rewritten
+// trace must still be allocated once, at its exact size.
+TEST(Rewriter, OutputIsAllocatedOnce)
+{
+    const Trace trace = chainTrace(5);
+    AsmdbPlan plan;
+    for (const Addr site : {Addr{0x103c}, Addr{0x203c}, Addr{0x303c}}) {
+        plan.insertions.push_back(Insertion{site, 0x4000, 1.0, 1});
+        plan.insertions.push_back(Insertion{site, 0x5000, 1.0, 1});
+    }
+    const CodeLayout layout(plan);
+    const RewriteResult result = rewriteTrace(trace, plan, layout);
+    ASSERT_GT(result.inserted_dynamic, trace.size() / 16);
+    EXPECT_EQ(result.trace.size(), trace.size() + result.inserted_dynamic);
+    EXPECT_EQ(result.trace.instructions().capacity(), result.trace.size());
 }
 
 TEST(Rewriter, TriggerMapMirrorsPlan)

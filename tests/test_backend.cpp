@@ -83,7 +83,7 @@ load(Addr pc, Addr addr, RegId dst)
     TraceInstruction inst;
     inst.pc = pc;
     inst.cls = InstClass::kLoad;
-    inst.mem_addr = addr;
+    inst.addr = addr;
     inst.dst = dst;
     return inst;
 }
@@ -182,7 +182,7 @@ TEST(Backend, StoresDoNotBlockRetirement)
     TraceInstruction store;
     store.pc = 0x1000;
     store.cls = InstClass::kStore;
-    store.mem_addr = 0x900000;
+    store.addr = 0x900000;
     store.src = {5, 6};
     trace.append(store);
     BackendHarness h(std::move(trace));
@@ -216,7 +216,7 @@ TEST(Backend, BranchCallbacksFire)
     br.pc = 0x1000;
     br.cls = InstClass::kCondBranch;
     br.taken = true;
-    br.target = 0x2000;
+    br.addr = 0x2000;
     trace.append(br);
     trace.append(alu(0x2000));
 
@@ -242,7 +242,7 @@ TEST(Backend, RetiredSwPrefetchesTracked)
     TraceInstruction pf;
     pf.pc = 0x1000;
     pf.cls = InstClass::kSwPrefetch;
-    pf.target = 0x5000;
+    pf.addr = 0x5000;
     trace.append(pf);
     trace.append(alu(0x1004));
     BackendHarness h(std::move(trace));

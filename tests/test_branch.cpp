@@ -21,7 +21,7 @@ condBranch(Addr pc, bool taken, Addr target)
     inst.pc = pc;
     inst.cls = InstClass::kCondBranch;
     inst.taken = taken;
-    inst.target = target;
+    inst.addr = target;
     return inst;
 }
 
@@ -32,7 +32,7 @@ controlFlow(Addr pc, InstClass cls, Addr target)
     inst.pc = pc;
     inst.cls = cls;
     inst.taken = true;
-    inst.target = target;
+    inst.addr = target;
     return inst;
 }
 

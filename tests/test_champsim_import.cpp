@@ -111,8 +111,8 @@ TEST(ChampsimImport, BranchTypeInference)
     EXPECT_EQ(trace[3].cls, InstClass::kIndirectJump);
     EXPECT_EQ(trace[4].cls, InstClass::kDirectJump);
     // Taken targets point at the next record.
-    EXPECT_EQ(trace[0].target, 0x2000u);
-    EXPECT_EQ(trace[3].target, 0x5000u);
+    EXPECT_EQ(trace[0].addr, 0x2000u);
+    EXPECT_EQ(trace[3].addr, 0x5000u);
     std::string err;
     EXPECT_TRUE(validateTrace(trace, &err)) << err;
 }
@@ -145,11 +145,11 @@ TEST(ChampsimImport, MemoryOperandsReduce)
     Trace trace;
     ASSERT_EQ(importChampsimTrace(ss, trace), 3u);
     EXPECT_EQ(trace[0].cls, InstClass::kLoad);
-    EXPECT_EQ(trace[0].mem_addr, 0x9000u);
+    EXPECT_EQ(trace[0].addr, 0x9000u);
     EXPECT_EQ(trace[0].src[0], 3u);
     EXPECT_EQ(trace[0].dst, 4u);
     EXPECT_EQ(trace[1].cls, InstClass::kStore);
-    EXPECT_EQ(trace[1].mem_addr, 0xa000u);
+    EXPECT_EQ(trace[1].addr, 0xa000u);
 }
 
 TEST(ChampsimImport, DiscontinuityRepairedAsJump)
@@ -163,7 +163,7 @@ TEST(ChampsimImport, DiscontinuityRepairedAsJump)
     ASSERT_EQ(importChampsimTrace(ss, trace), 3u);
     EXPECT_EQ(trace[0].cls, InstClass::kDirectJump);
     EXPECT_TRUE(trace[0].taken);
-    EXPECT_EQ(trace[0].target, 0x9000u);
+    EXPECT_EQ(trace[0].addr, 0x9000u);
     std::string err;
     EXPECT_TRUE(validateTrace(trace, &err)) << err;
 }

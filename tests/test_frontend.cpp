@@ -32,7 +32,7 @@ branch(Addr pc, bool taken, Addr target,
     inst.pc = pc;
     inst.cls = cls;
     inst.taken = taken;
-    inst.target = target;
+    inst.addr = target;
     return inst;
 }
 
@@ -268,7 +268,7 @@ TEST(Frontend, SwPrefetchInstructionFiresAtPredecode)
     TraceInstruction pf;
     pf.pc = 0x400004;
     pf.cls = InstClass::kSwPrefetch;
-    pf.target = 0x700000;
+    pf.addr = 0x700000;
     trace.append(pf);
     trace.append(alu(0x400008));
     FrontEndHarness h(trace);

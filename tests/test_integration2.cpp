@@ -31,17 +31,17 @@ TEST(Walker, DataAddressesFallIntoKnownRegions)
     for (const auto &inst : trace) {
         if (!inst.isMemory())
             continue;
-        if (inst.mem_addr >= kStackBase - (1 << 20))
+        if (inst.addr >= kStackBase - (1 << 20))
             ++stack;
-        else if (inst.mem_addr >= kHeapBase &&
-                 inst.mem_addr < kHeapBase + (1ull << 26))
+        else if (inst.addr >= kHeapBase &&
+                 inst.addr < kHeapBase + (1ull << 26))
             ++heap;
-        else if (inst.mem_addr >= kGlobalBase &&
-                 inst.mem_addr < kGlobalBase + (1 << 20))
+        else if (inst.addr >= kGlobalBase &&
+                 inst.addr < kGlobalBase + (1 << 20))
             ++global;
         else
             FAIL() << "address outside all regions: " << std::hex
-                   << inst.mem_addr;
+                   << inst.addr;
     }
     EXPECT_GT(stack, 0u);
     EXPECT_GT(global, 0u);

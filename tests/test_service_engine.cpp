@@ -97,6 +97,9 @@ TEST(ServiceEngine, RepeatIsServedFromCacheWithoutResimulation)
     ASSERT_EQ(warm.status, SubmitStatus::kOk);
     EXPECT_TRUE(warm.cache_hit);
     EXPECT_EQ(warm.result.get(), cold.result.get()); // same object
+    // Both carry the key submit() looked the tiers up with.
+    EXPECT_EQ(cold.key, request.canonicalKey());
+    EXPECT_EQ(warm.key, request.canonicalKey());
     const EngineStats stats = engine.stats();
     EXPECT_EQ(stats.sim_runs, 1u);
     EXPECT_EQ(stats.cache_hits, 1u);
@@ -136,6 +139,7 @@ TEST(ServiceEngine, ConcurrentIdenticalRequestsRunExactlyOneSimulation)
         if (shared == nullptr)
             shared = outcome.result.get();
         EXPECT_EQ(outcome.result.get(), shared); // one shared result
+        EXPECT_EQ(outcome.key, request.canonicalKey());
         coalesced += outcome.coalesced ? 1 : 0;
     }
     const EngineStats stats = engine.stats();

@@ -31,7 +31,7 @@ TEST(TraceText, RoundTripsEveryField)
         TraceInstruction load;
         load.pc = 0x1004;
         load.cls = InstClass::kLoad;
-        load.mem_addr = 0xbeef00;
+        load.addr = 0xbeef00;
         load.dst = 7;
         load.src = {1, kNoReg};
         trace.append(load);
@@ -41,14 +41,14 @@ TEST(TraceText, RoundTripsEveryField)
         br.pc = 0x1008;
         br.cls = InstClass::kCondBranch;
         br.taken = true;
-        br.target = 0x1000;
+        br.addr = 0x1000;
         trace.append(br);
     }
     {
         TraceInstruction pf;
         pf.pc = 0x100c;
         pf.cls = InstClass::kSwPrefetch;
-        pf.target = 0x4000;
+        pf.addr = 0x4000;
         trace.append(pf);
     }
 
@@ -63,8 +63,7 @@ TEST(TraceText, RoundTripsEveryField)
         EXPECT_EQ(loaded[i].pc, trace[i].pc);
         EXPECT_EQ(loaded[i].cls, trace[i].cls);
         EXPECT_EQ(loaded[i].taken, trace[i].taken);
-        EXPECT_EQ(loaded[i].target, trace[i].target);
-        EXPECT_EQ(loaded[i].mem_addr, trace[i].mem_addr);
+        EXPECT_EQ(loaded[i].addr, trace[i].addr);
         EXPECT_EQ(loaded[i].dst, trace[i].dst);
         EXPECT_EQ(loaded[i].src, trace[i].src);
     }
@@ -95,6 +94,22 @@ TEST(TraceText, RejectsUnknownToken)
     std::string err;
     EXPECT_FALSE(readTraceText(ss, trace, &err));
     EXPECT_NE(err.find("unknown token"), std::string::npos);
+}
+
+// The class decides what the one address means: t= belongs to
+// branches and prefetches, m= to loads and stores.
+TEST(TraceText, RejectsAnAddressTheClassDoesNotUse)
+{
+    for (const char *line : {"1000 alu t=2000\n", "1000 alu m=2000\n",
+                             "1000 load t=2000\n",
+                             "1000 call m=2000 taken\n",
+                             "1000 sw_prefetch m=2000\n"}) {
+        std::stringstream ss(line);
+        Trace trace;
+        std::string err;
+        EXPECT_FALSE(readTraceText(ss, trace, &err)) << line;
+        EXPECT_NE(err.find("takes no"), std::string::npos) << err;
+    }
 }
 
 TEST(TraceText, RejectsBadPc)
