@@ -1,8 +1,6 @@
 #include "asmdb/cfg.hpp"
 
 #include <algorithm>
-#include <map>
-#include <unordered_set>
 
 #include "util/logging.hpp"
 
@@ -16,93 +14,150 @@ Cfg::build(const Trace &trace,
     Cfg cfg;
     if (trace.empty())
         return cfg;
+    const std::vector<StaticInstruction> &statics = trace.statics();
+    const std::size_t n = trace.size();
 
-    // 1. Collect the static instruction set and block leaders.
-    std::map<Addr, std::uint8_t> static_instrs; // pc -> size (sorted)
-    std::unordered_set<Addr> leaders;
-    leaders.insert(trace[0].pc);
-    for (std::size_t i = 0; i < trace.size(); ++i) {
-        const TraceInstruction &inst = trace[i];
-        static_instrs.emplace(inst.pc, inst.size);
-        if (inst.isBranch()) {
-            if (inst.taken)
-                leaders.insert(inst.addr);
-            if (i + 1 < trace.size())
-                leaders.insert(trace[i + 1].pc);
+    // 1. One pass over the executions: each static entry's first
+    //    execution, the entries that follow a branch, and the distinct
+    //    targets of taken branches (remembering each branch's last one
+    //    keeps repeats out).
+    constexpr std::size_t kNever = ~std::size_t{0};
+    std::vector<std::size_t> first(statics.size(), kNever);
+    std::vector<char> after_branch(statics.size(), 0);
+    std::vector<char> has_target(statics.size(), 0);
+    std::vector<Addr> last_target(statics.size(), 0);
+    std::vector<Addr> targets;
+    for (std::size_t i = 0; i < n; ++i) {
+        const Trace::StaticIndex s = trace.staticIndex(i);
+        if (first[s] == kNever)
+            first[s] = i;
+        if (!statics[s].isBranch())
+            continue;
+        const Addr target = trace.addr(i);
+        if (trace.taken(i) && (!has_target[s] || last_target[s] != target)) {
+            targets.push_back(target);
+            has_target[s] = 1;
+            last_target[s] = target;
         }
+        if (i + 1 < n)
+            after_branch[trace.staticIndex(i + 1)] = 1;
     }
+    std::sort(targets.begin(), targets.end());
+    targets.erase(std::unique(targets.begin(), targets.end()),
+                  targets.end());
 
-    // 2. Form blocks: split at leaders, after branches, and at gaps.
-    auto flush_block = [&cfg](Addr start, Addr end,
-                              std::uint32_t n_instrs) {
-        CfgBlock block;
-        block.id = static_cast<std::uint32_t>(cfg.blocks_.size());
-        block.start_pc = start;
-        block.end_pc = end;
-        block.num_instrs = n_instrs;
-        cfg.by_start_.emplace(start, block.id);
-        cfg.blocks_.push_back(std::move(block));
-    };
-
-    Addr block_start = 0;
-    Addr prev_pc = 0;
-    Addr expected_next = 0;
-    std::uint32_t count = 0;
-    for (const auto &[pc, size] : static_instrs) {
-        const bool new_block =
-            count == 0 || leaders.count(pc) != 0 || pc != expected_next;
-        if (new_block && count > 0) {
-            flush_block(block_start, prev_pc, count);
-            count = 0;
-        }
-        if (count == 0)
-            block_start = pc;
-        ++count;
-        prev_pc = pc;
-        expected_next = pc + size;
+    // 2. The executed pcs in order, each with the size its first
+    //    execution had, and the leaders among them: the first
+    //    instruction, every taken target, and whatever follows a
+    //    branch.
+    std::vector<Trace::StaticIndex> order;
+    order.reserve(statics.size());
+    for (std::size_t s = 0; s < statics.size(); ++s) {
+        if (first[s] != kNever)
+            order.push_back(static_cast<Trace::StaticIndex>(s));
     }
-    if (count > 0)
-        flush_block(block_start, prev_pc, count);
-
-    // 3. Map every instruction pc to its block.
+    std::sort(order.begin(), order.end(),
+              [&](Trace::StaticIndex a, Trace::StaticIndex b) {
+                  return statics[a].pc != statics[b].pc
+                             ? statics[a].pc < statics[b].pc
+                             : first[a] < first[b];
+              });
+    struct StaticPc
     {
-        auto it = static_instrs.begin();
-        for (auto &block : cfg.blocks_) {
-            while (it != static_instrs.end() && it->first <= block.end_pc) {
-                cfg.by_pc_.emplace(it->first, block.id);
-                ++it;
-            }
+        Addr pc;
+        std::uint8_t size;
+        bool leader;
+    };
+    std::vector<StaticPc> pcs;      // sorted, distinct
+    std::vector<std::uint32_t> pos(statics.size(), 0); // entry -> pcs
+    for (const Trace::StaticIndex s : order) {
+        if (pcs.empty() || pcs.back().pc != statics[s].pc)
+            pcs.push_back(StaticPc{statics[s].pc, statics[s].size, false});
+        pos[s] = static_cast<std::uint32_t>(pcs.size() - 1);
+        pcs.back().leader |= after_branch[s] != 0;
+    }
+    pcs[pos[trace.staticIndex(0)]].leader = true;
+    {
+        auto it = pcs.begin();
+        for (const Addr target : targets) {
+            it = std::lower_bound(it, pcs.end(), target,
+                                  [](const StaticPc &p, Addr a) {
+                                      return p.pc < a;
+                                  });
+            if (it == pcs.end())
+                break;
+            if (it->pc == target)
+                it->leader = true;
         }
+    }
+
+    // 3. Form blocks: split at leaders, after branches, and at gaps;
+    //    map every pc to its block.
+    std::vector<std::uint32_t> block_of_pc(pcs.size());
+    cfg.by_pc_.reserve(pcs.size());
+    for (std::size_t k = 0; k < pcs.size(); ++k) {
+        const bool new_block = k == 0 || pcs[k].leader ||
+                               pcs[k].pc != pcs[k - 1].pc + pcs[k - 1].size;
+        if (new_block) {
+            CfgBlock block;
+            block.id = static_cast<std::uint32_t>(cfg.blocks_.size());
+            block.start_pc = pcs[k].pc;
+            cfg.by_start_.emplace(block.start_pc, block.id);
+            cfg.blocks_.push_back(std::move(block));
+        }
+        CfgBlock &block = cfg.blocks_.back();
+        block.end_pc = pcs[k].pc;
+        ++block.num_instrs;
+        block_of_pc[k] = block.id;
+        cfg.by_pc_.emplace(pcs[k].pc, block.id);
+    }
+
+    // Per static entry: its block, whether it starts that block, and
+    // whether control leaves the block after it (a branch, or the
+    // block's last instruction).
+    std::vector<std::uint32_t> block_of(statics.size(), kNoBlock);
+    std::vector<char> starts(statics.size(), 0);
+    std::vector<char> leaves(statics.size(), 0);
+    for (const Trace::StaticIndex s : order) {
+        const CfgBlock &block = cfg.blocks_[block_of_pc[pos[s]]];
+        block_of[s] = block.id;
+        starts[s] = statics[s].pc == block.start_pc;
+        leaves[s] = statics[s].isBranch() || statics[s].pc == block.end_pc;
     }
 
     // 4. Execution and edge counts from the dynamic trace. A block is
     //    entered whenever control reaches its leader after the previous
     //    block ended (branch, or fallthrough past a block boundary).
-    std::uint32_t prev_block = kNoBlock;
+    //    Each block remembers its last successor's counter, so a loop
+    //    or a straight path counts without hashing.
     std::unordered_map<std::uint64_t, std::uint64_t> edge_counts;
-    for (std::size_t i = 0; i < trace.size(); ++i) {
-        const TraceInstruction &inst = trace[i];
-        const std::uint32_t b = cfg.by_pc_.at(inst.pc);
-        const bool block_entry =
-            inst.pc == cfg.blocks_[b].start_pc &&
-            (i == 0 || trace[i - 1].isBranch() ||
-             trace[i - 1].pc == cfg.blocks_[prev_block].end_pc);
-        if (block_entry) {
+    std::vector<std::pair<std::uint32_t, std::uint64_t *>> last_edge(
+        cfg.blocks_.size(), {kNoBlock, nullptr});
+    Trace::StaticIndex prev = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+        const Trace::StaticIndex s = trace.staticIndex(i);
+        if (starts[s] && (i == 0 || leaves[prev])) {
+            const std::uint32_t b = block_of[s];
             ++cfg.blocks_[b].exec_count;
             if (i > 0) {
-                const std::uint64_t key =
-                    (std::uint64_t{prev_block} << 32) | b;
-                ++edge_counts[key];
+                auto &[dst, count] = last_edge[block_of[prev]];
+                if (dst != b) {
+                    const std::uint64_t key =
+                        (std::uint64_t{block_of[prev]} << 32) | b;
+                    dst = b;
+                    count = &edge_counts[key];
+                }
+                ++*count;
             }
         }
-        prev_block = b;
+        prev = s;
     }
 
-    for (const auto &[key, n] : edge_counts) {
+    for (const auto &[key, count] : edge_counts) {
         const auto src = static_cast<std::uint32_t>(key >> 32);
         const auto dst = static_cast<std::uint32_t>(key & 0xffffffffu);
-        cfg.blocks_[src].succs.emplace_back(dst, n);
-        cfg.blocks_[dst].preds.emplace_back(src, n);
+        cfg.blocks_[src].succs.emplace_back(dst, count);
+        cfg.blocks_[dst].preds.emplace_back(src, count);
     }
     for (auto &block : cfg.blocks_) {
         std::sort(block.succs.begin(), block.succs.end());
@@ -127,17 +182,17 @@ Cfg::build(const Trace &trace,
             std::uint64_t count = 0;
         };
         std::unordered_map<std::uint32_t, Agg> bypass; // cont block -> agg
-        for (std::size_t i = 0; i < trace.size(); ++i) {
-            const TraceInstruction &inst = trace[i];
+        for (std::size_t i = 0; i < n; ++i) {
+            const Trace::StaticIndex s = trace.staticIndex(i);
+            const StaticInstruction &inst = statics[s];
             const bool is_call = inst.cls == InstClass::kCall ||
                                  inst.cls == InstClass::kIndirectCall;
             if (is_call && stack.size() < 64) {
-                stack.push_back(Frame{cfg.by_pc_.at(inst.pc),
-                                      inst.nextPc(), i});
+                stack.push_back(Frame{block_of[s], inst.nextPc(), i});
             } else if (inst.cls == InstClass::kReturn && !stack.empty()) {
                 const Frame frame = stack.back();
                 stack.pop_back();
-                if (inst.addr == frame.continuation_pc) {
+                if (trace.addr(i) == frame.continuation_pc) {
                     auto cont = cfg.by_start_.find(frame.continuation_pc);
                     if (cont != cfg.by_start_.end()) {
                         Agg &agg = bypass[cont->second];
@@ -156,13 +211,15 @@ Cfg::build(const Trace &trace,
     }
 
     // 6. Attribute line misses to representative blocks.
-    for (const auto &[line, n] : line_misses) {
+    for (const auto &[line, misses] : line_misses) {
         // First profiled instruction within the line.
-        auto it = static_instrs.lower_bound(line);
-        if (it == static_instrs.end() || it->first >= line + 64)
+        const auto it = std::lower_bound(
+            pcs.begin(), pcs.end(), line,
+            [](const StaticPc &p, Addr a) { return p.pc < a; });
+        if (it == pcs.end() || it->pc >= line + 64)
             continue; // miss on a line with no profiled instruction
-        const std::uint32_t b = cfg.by_pc_.at(it->first);
-        cfg.blocks_[b].misses += n;
+        const std::uint32_t b = block_of_pc[it - pcs.begin()];
+        cfg.blocks_[b].misses += misses;
         cfg.by_line_.emplace(line, b);
     }
 

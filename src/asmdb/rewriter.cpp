@@ -1,7 +1,7 @@
 #include "asmdb/rewriter.hpp"
 
 #include <algorithm>
-#include <unordered_set>
+#include <unordered_map>
 #include <vector>
 
 namespace sipre::asmdb
@@ -17,65 +17,110 @@ rewriteTrace(const Trace &original, const AsmdbPlan &plan,
     result.original_dynamic = original.size();
     result.inserted_static = plan.insertions.size();
 
-    // The prefetches planned at each site, sorted, as the no-overhead
-    // mode fires them.
-    const SwPrefetchTriggers by_site = buildTriggers(plan);
-
-    // Pass 1: find where prefetches go, so the rewritten trace is
-    // allocated once at its exact size. Prefetches belong to the
-    // fallthrough path within the site block: emit them only when
-    // control reaches the site's terminating instruction sequentially
-    // (a jump directly to the terminator skips block-body code,
-    // including our insertion).
-    struct Emission
+    // Each site's prefetches, sorted as the no-overhead mode fires them,
+    // with their targets moved to the new layout (a ranged prefetch
+    // keeps its line count in the low bits).
+    struct Site
     {
-        std::size_t index;            ///< site instruction in `original`
-        const std::vector<Addr> *pfs; ///< its encoded prefetch targets
+        std::vector<Addr> targets;
+        bool emits = false;
+        Trace::StaticIndex first = 0; ///< table index of its first prefetch
     };
-    std::vector<Emission> emissions;
-    std::unordered_set<Addr> unique_pcs;
-    unique_pcs.reserve(original.size() / 8);
+    std::unordered_map<Addr, Site> sites;
+    for (auto &[pc, pfs] : buildTriggers(plan)) {
+        Site &site = sites[pc];
+        site.targets = std::move(pfs);
+        for (Addr &target : site.targets)
+            target = layout.mapLine(target & ~Addr{63}) | (target & Addr{63});
+    }
+
+    // One lookup per static entry, not per execution.
+    const std::vector<StaticInstruction> &statics = original.statics();
+    std::vector<Site *> site_of(statics.size(), nullptr);
+    for (std::size_t s = 0; s < statics.size(); ++s) {
+        const auto it = sites.find(statics[s].pc);
+        if (it != sites.end())
+            site_of[s] = &it->second;
+    }
+
+    // Prefetches belong to the fallthrough path within the site block:
+    // emit them only when control reaches the site's terminating
+    // instruction sequentially (a jump directly to the terminator skips
+    // block-body code, including our insertion).
+    auto emitsAt = [&original, &statics](std::size_t i) {
+        const StaticInstruction &prev = statics[original.staticIndex(i - 1)];
+        return !(prev.isBranch() && original.taken(i - 1)) &&
+               prev.nextPc() == statics[original.staticIndex(i)].pc;
+    };
+
+    // Pass 1: count the prefetch executions and entries, so the rewrite
+    // is allocated once at its exact size, and the executed pcs.
+    std::vector<char> executed(statics.size(), 0);
+    std::size_t prefetch_statics = 0;
     for (std::size_t i = 0; i < original.size(); ++i) {
-        const TraceInstruction &inst = original[i];
-        unique_pcs.insert(inst.pc);
-        if (i == 0)
+        const Trace::StaticIndex s = original.staticIndex(i);
+        executed[s] = 1;
+        Site *site = site_of[s];
+        if (i == 0 || site == nullptr || !emitsAt(i))
             continue;
-        const auto site = by_site.find(inst.pc);
-        if (site == by_site.end())
+        result.inserted_dynamic += site->targets.size();
+        if (!site->emits)
+            prefetch_statics += site->targets.size();
+        site->emits = true;
+    }
+    {
+        std::vector<Addr> pcs;
+        pcs.reserve(statics.size());
+        for (std::size_t s = 0; s < statics.size(); ++s) {
+            if (executed[s])
+                pcs.push_back(statics[s].pc);
+        }
+        std::sort(pcs.begin(), pcs.end());
+        result.original_static = static_cast<std::uint64_t>(
+            std::unique(pcs.begin(), pcs.end()) - pcs.begin());
+    }
+
+    // Pass 2: the original's table with each pc remapped once, at the
+    // same indices, then each emitting site's prefetches as entries of
+    // their own, just below the site's new pc.
+    result.trace.reserve(original.size() + result.inserted_dynamic,
+                         statics.size() + prefetch_statics);
+    for (const StaticInstruction &inst : statics) {
+        StaticInstruction moved = inst;
+        moved.pc = layout.map(inst.pc);
+        result.trace.addStatic(moved);
+    }
+    for (auto &[pc, site] : sites) {
+        if (!site.emits)
             continue;
-        const TraceInstruction &prev = original[i - 1];
-        if (!(prev.isBranch() && prev.taken) && prev.nextPc() == inst.pc) {
-            emissions.push_back(Emission{i, &site->second});
-            result.inserted_dynamic += site->second.size();
+        const Addr base = layout.map(pc) - 4 * site.targets.size();
+        for (std::size_t k = 0; k < site.targets.size(); ++k) {
+            StaticInstruction pf;
+            pf.pc = base + 4 * k;
+            pf.cls = InstClass::kSwPrefetch;
+            const Trace::StaticIndex index = result.trace.addStatic(pf);
+            if (k == 0)
+                site.first = index;
         }
     }
-    result.original_static = unique_pcs.size();
 
-    // Pass 2: write every instruction once, remapped, with the site's
-    // prefetches just before it.
-    result.trace.reserve(original.size() + result.inserted_dynamic);
-    auto next = emissions.begin();
+    // Pass 3: copy every execution through, with the site's prefetches
+    // just before it. Only a taken branch's target moves.
     for (std::size_t i = 0; i < original.size(); ++i) {
-        const TraceInstruction &inst = original[i];
-        TraceInstruction moved = inst;
-        moved.pc = layout.map(inst.pc);
-        if (next != emissions.end() && next->index == i) {
-            const std::vector<Addr> &pfs = *next->pfs;
-            const Addr base = moved.pc - 4 * pfs.size();
-            for (std::size_t k = 0; k < pfs.size(); ++k) {
-                // Remap the line; keep a ranged prefetch's line count.
-                TraceInstruction pf;
-                pf.pc = base + 4 * k;
-                pf.cls = InstClass::kSwPrefetch;
-                pf.addr = layout.mapLine(pfs[k] & ~Addr{63}) |
-                          (pfs[k] & Addr{63});
-                result.trace.append(pf);
+        const Trace::StaticIndex s = original.staticIndex(i);
+        const Site *site = site_of[s];
+        if (i > 0 && site != nullptr && emitsAt(i)) {
+            for (std::size_t k = 0; k < site->targets.size(); ++k) {
+                result.trace.appendExecution(
+                    site->first + static_cast<Trace::StaticIndex>(k), false,
+                    site->targets[k]);
             }
-            ++next;
         }
-        if (inst.isBranch() && inst.taken)
-            moved.addr = layout.map(inst.addr);
-        result.trace.append(moved);
+        const bool taken = original.taken(i);
+        const Addr addr = original.addr(i);
+        result.trace.appendExecution(
+            s, taken,
+            taken && statics[s].isBranch() ? layout.map(addr) : addr);
     }
     return result;
 }

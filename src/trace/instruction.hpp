@@ -124,6 +124,8 @@ struct TraceInstruction
 
     /** Address of the sequential successor. */
     Addr nextPc() const { return pc + size; }
+
+    bool operator==(const TraceInstruction &) const = default;
 };
 static_assert(sizeof(TraceInstruction) == 24,
               "one address per record: a trace record is 24 bytes");

@@ -202,7 +202,10 @@ class Walker
     {
         Trace trace(spec_.name);
         trace.setSeed(spec_.seed);
-        trace.reserve(num_instructions);
+        // At most one static entry per instruction of the program.
+        trace.reserve(num_instructions,
+                      std::min<std::size_t>(num_instructions,
+                                            prog_.codeBytes() / 4));
         while (trace.size() < num_instructions)
             step(trace, num_instructions);
         return trace;
@@ -215,11 +218,33 @@ class Walker
         std::uint32_t block;
     };
 
-    /** A function control has entered, with per-block visit counters. */
+    static constexpr Trace::StaticIndex kUnseen = ~Trace::StaticIndex{0};
+
+    /**
+     * A block's walk state: its visit counter and the trace's static
+     * entry for its first instruction. A block's instructions execute
+     * in order and nothing else runs in between, so its first visit
+     * adds their entries in a row and every later visit reuses them.
+     */
+    struct BlockState
+    {
+        std::uint32_t visits = 0;
+        Trace::StaticIndex first_static = kUnseen;
+    };
+
+    /** Where a block's terminator goes: its pc and static entry. */
+    struct Term
+    {
+        bool first;               ///< add the entry (first visit)
+        Trace::StaticIndex index;
+        Addr pc;
+    };
+
+    /** A function control has entered, with its blocks' walk state. */
     struct Entered
     {
         FunctionModel model;
-        std::vector<std::uint32_t> visits;
+        std::vector<BlockState> blocks;
     };
 
     /** Function `id`, built on its first entry. */
@@ -230,7 +255,7 @@ class Walker
         if (slot == nullptr) {
             slot = std::make_unique<Entered>();
             slot->model = prog_.function(id);
-            slot->visits.assign(slot->model.blocks.size(), 0);
+            slot->blocks.assign(slot->model.blocks.size(), BlockState{});
         }
         return *slot;
     }
@@ -238,12 +263,11 @@ class Walker
     /** Statically-fixed per-PC properties derived by hashing. */
     std::uint64_t staticHash(Addr pc) const { return mix64(pc ^ spec_.seed); }
 
-    /** Emit one body (non-branch) instruction at pc. */
-    void
-    emitBody(Trace &trace, Addr pc, std::uint32_t fn_id)
+    /** The body (non-branch) instruction at pc, whose hash is h. */
+    static StaticInstruction
+    bodyShape(Addr pc, std::uint64_t h)
     {
-        const std::uint64_t h = staticHash(pc);
-        TraceInstruction inst;
+        StaticInstruction inst;
         inst.pc = pc;
 
         // Class distribution is a static property of the PC.
@@ -264,12 +288,27 @@ class Walker
         inst.src[0] = static_cast<RegId>(1 + ((h >> 16) & 0x1f));
         if (((h >> 24) & 3) != 0)
             inst.src[1] = static_cast<RegId>(1 + ((h >> 32) & 0x1f));
-        if (!inst.isStore())
+        if (inst.cls != InstClass::kStore)
             inst.dst = static_cast<RegId>(1 + ((h >> 8) & 0x1f));
+        return inst;
+    }
 
-        if (inst.isMemory())
-            inst.addr = dataAddress(h, fn_id);
-        trace.append(inst);
+    /**
+     * Emit one body (non-branch) instruction at pc, whose static entry
+     * is `index`; `first` adds that entry, on the block's first visit.
+     */
+    void
+    emitBody(Trace &trace, bool first, Trace::StaticIndex index, Addr pc,
+             std::uint32_t fn_id)
+    {
+        const std::uint64_t h = staticHash(pc);
+        if (first)
+            trace.addStatic(bodyShape(pc, h));
+        const InstClass cls = trace.statics()[index].cls;
+        const bool memory =
+            cls == InstClass::kLoad || cls == InstClass::kStore;
+        trace.appendExecution(index, false,
+                              memory ? dataAddress(h, fn_id) : 0);
     }
 
     /** Produce a data effective address for a load/store at a PC. */
@@ -313,15 +352,23 @@ class Walker
         const std::uint32_t fn_id = frame.fn;
         const std::uint32_t block_id = frame.block;
 
+        BlockState &state = entered.blocks[block_id];
+        const bool first = state.first_static == kUnseen;
+        if (first) {
+            state.first_static =
+                static_cast<Trace::StaticIndex>(trace.statics().size());
+        }
         for (std::uint32_t k = 0;
              k < b.body_instrs && trace.size() < budget; ++k) {
-            emitBody(trace, b.addr + Addr{k} * 4, fn_id);
+            emitBody(trace, first, state.first_static + k,
+                     b.addr + Addr{k} * 4, fn_id);
         }
         if (trace.size() >= budget)
             return;
 
-        const std::uint32_t visit = entered.visits[block_id]++;
+        const std::uint32_t visit = state.visits++;
         const Addr term_pc = b.addr + Addr{b.body_instrs} * 4;
+        const Term term{first, state.first_static + b.body_instrs, term_pc};
 
         switch (b.term) {
           case TermKind::kFallthrough:
@@ -336,7 +383,7 @@ class Walker
                              : (visit % b.pattern_period) < b.pattern_taken;
             if (rng_.chance(b.noise))
                 taken = !taken;
-            emitBranch(trace, term_pc, InstClass::kCondBranch, taken,
+            emitBranch(trace, term, InstClass::kCondBranch, taken,
                        f.blocks[b.target_block].addr);
             frame.block = taken ? b.target_block : block_id + 1;
             return;
@@ -347,13 +394,13 @@ class Walker
             const bool taken =
                 b.loop_trips == 0xffff ||
                 (visit % (std::uint32_t{b.loop_trips} + 1)) != b.loop_trips;
-            emitBranch(trace, term_pc, InstClass::kCondBranch, taken,
+            emitBranch(trace, term, InstClass::kCondBranch, taken,
                        f.blocks[b.target_block].addr);
             frame.block = taken ? b.target_block : block_id + 1;
             return;
           }
           case TermKind::kJump:
-            emitBranch(trace, term_pc, InstClass::kDirectJump, true,
+            emitBranch(trace, term, InstClass::kDirectJump, true,
                        f.blocks[b.target_block].addr);
             frame.block = b.target_block;
             return;
@@ -364,7 +411,7 @@ class Walker
             if (rng_.chance(spec_.program.indirect_noise))
                 idx = rng_.below(b.multi_targets.size());
             const std::uint32_t target = b.multi_targets[idx];
-            emitBranch(trace, term_pc, InstClass::kIndirectJump, true,
+            emitBranch(trace, term, InstClass::kIndirectJump, true,
                        f.blocks[target].addr);
             frame.block = target;
             return;
@@ -380,7 +427,7 @@ class Walker
                     idx = rng_.below(b.callees.size());
             }
             const std::uint32_t callee = b.callees[idx];
-            emitBranch(trace, term_pc,
+            emitBranch(trace, term,
                        b.term == TermKind::kCall ? InstClass::kCall
                                                  : InstClass::kIndirectCall,
                        true, enter(callee).model.entry);
@@ -395,7 +442,7 @@ class Walker
             frames_.pop_back();
             const Frame &caller = frames_.back();
             const FunctionModel &cf = entered_[caller.fn]->model;
-            emitBranch(trace, term_pc, InstClass::kReturn, true,
+            emitBranch(trace, term, InstClass::kReturn, true,
                        cf.blocks[caller.block].addr);
             return;
           }
@@ -403,17 +450,19 @@ class Walker
     }
 
     void
-    emitBranch(Trace &trace, Addr pc, InstClass cls, bool taken, Addr target)
+    emitBranch(Trace &trace, const Term &term, InstClass cls, bool taken,
+               Addr target)
     {
-        TraceInstruction inst;
-        inst.pc = pc;
-        inst.cls = cls;
-        inst.taken = taken;
-        inst.addr = target;
         // Branches carry no register dependencies in this model so that
         // resolution latency reflects the pipeline, not a random data
         // dependence on an arbitrarily old producer.
-        trace.append(inst);
+        if (term.first) {
+            StaticInstruction inst;
+            inst.pc = term.pc;
+            inst.cls = cls;
+            trace.addStatic(inst);
+        }
+        trace.appendExecution(term.index, taken, target);
     }
 
     static constexpr Addr kStackBase = 0x7fff00000000ULL;

@@ -5,6 +5,9 @@
 #include <memory>
 #include <optional>
 
+#include "util/bits.hpp"
+#include "util/logging.hpp"
+
 namespace sipre
 {
 
@@ -71,7 +74,78 @@ bytesLeft(std::FILE *f)
     return static_cast<std::uint64_t>(end - here);
 }
 
+/** The static part of `inst`. */
+StaticInstruction
+staticPart(const TraceInstruction &inst)
+{
+    return StaticInstruction{inst.pc, inst.cls, inst.size, inst.dst,
+                             inst.src};
+}
+
 } // namespace
+
+std::size_t
+Trace::StaticHash::operator()(const StaticInstruction &s) const
+{
+    const std::uint64_t shape =
+        static_cast<std::uint64_t>(s.cls) | std::uint64_t{s.size} << 8 |
+        std::uint64_t{s.dst} << 16 | std::uint64_t{s.src[0]} << 24 |
+        std::uint64_t{s.src[1]} << 32;
+    return static_cast<std::size_t>(mix64(s.pc ^ mix64(shape)));
+}
+
+void
+Trace::append(const TraceInstruction &inst)
+{
+    // Index what addStatic added since the last general append.
+    for (; indexed_ < statics_.size(); ++indexed_) {
+        index_.emplace(statics_[indexed_],
+                       static_cast<StaticIndex>(indexed_));
+    }
+    const auto [it, added] = index_.try_emplace(
+        staticPart(inst), static_cast<StaticIndex>(statics_.size()));
+    if (added) {
+        addStatic(it->first);
+        ++indexed_;
+    }
+    appendExecution(it->second, inst.taken, inst.addr);
+}
+
+Trace::StaticIndex
+Trace::addStatic(const StaticInstruction &inst)
+{
+    // The index shares 32 bits with the taken bit.
+    SIPRE_ASSERT(statics_.size() < (std::size_t{1} << 31),
+                 "trace static table is full");
+    statics_.push_back(inst);
+    return static_cast<StaticIndex>(statics_.size() - 1);
+}
+
+void
+Trace::clear()
+{
+    statics_.clear();
+    refs_.clear();
+    addrs_.clear();
+    index_.clear();
+    indexed_ = 0;
+}
+
+void
+Trace::rebase(Addr offset)
+{
+    if (offset == 0)
+        return;
+    for (StaticInstruction &inst : statics_)
+        inst.pc += offset;
+    for (Addr &addr : addrs_) {
+        if (addr != 0)
+            addr += offset;
+    }
+    // The index is keyed by the old pcs; append() rebuilds it.
+    index_.clear();
+    indexed_ = 0;
+}
 
 bool
 Trace::save(const std::string &path) const
@@ -94,11 +168,11 @@ Trace::save(const std::string &path) const
     if (std::fwrite(&seed_, sizeof seed_, 1, f.get()) != 1)
         return false;
 
-    const std::uint64_t count = instructions_.size();
+    const std::uint64_t count = size();
     if (std::fwrite(&count, sizeof count, 1, f.get()) != 1)
         return false;
 
-    for (const auto &inst : instructions_) {
+    for (const TraceInstruction &inst : *this) {
         PackedRecord rec{};
         rec.pc = inst.pc;
         if (std::uint64_t *slot = addrSlot(rec, inst.addrKind()))
@@ -153,9 +227,9 @@ Trace::load(const std::string &path)
     const std::optional<std::uint64_t> record_bytes = bytesLeft(f.get());
     if (record_bytes && count > *record_bytes / sizeof(PackedRecord))
         return false;
-    instructions_.clear();
+    clear();
     if (record_bytes)
-        instructions_.reserve(count);
+        reserve(count);
     for (std::uint64_t i = 0; i < count; ++i) {
         PackedRecord rec{};
         if (std::fread(&rec, sizeof rec, 1, f.get()) != 1)
@@ -177,7 +251,7 @@ Trace::load(const std::string &path)
         inst.taken = rec.taken != 0;
         inst.dst = rec.dst;
         inst.src = {rec.src0, rec.src1};
-        instructions_.push_back(inst);
+        append(inst);
     }
     return true;
 }

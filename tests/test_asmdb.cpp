@@ -360,7 +360,9 @@ TEST(Rewriter, OutputIsAllocatedOnce)
     const RewriteResult result = rewriteTrace(trace, plan, layout);
     ASSERT_GT(result.inserted_dynamic, trace.size() / 16);
     EXPECT_EQ(result.trace.size(), trace.size() + result.inserted_dynamic);
-    EXPECT_EQ(result.trace.instructions().capacity(), result.trace.size());
+    EXPECT_EQ(result.trace.capacity(), result.trace.size());
+    EXPECT_EQ(result.trace.statics().capacity(),
+              result.trace.statics().size());
 }
 
 TEST(Rewriter, TriggerMapMirrorsPlan)

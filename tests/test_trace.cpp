@@ -8,8 +8,10 @@
 #include <cstdio>
 #include <fstream>
 #include <iterator>
+#include <set>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -254,6 +256,100 @@ TEST(Trace, RebaseShiftsEachAddressOnce)
     EXPECT_EQ(trace[1].addr, 0x120000u);
     EXPECT_EQ(trace[2].addr, 0x101000u);
     EXPECT_EQ(trace[3].addr, 0u) << "no target stays no target";
+}
+
+// ------------------------------------------------- static table layout
+
+// A synthesized trace holds each static instruction once: it reads back
+// record for record as the plain vector of its records, and so does a
+// copy built through the general append(), with one entry per distinct
+// (pc, class, size, registers) shape.
+TEST(Trace, ExecutionsShareStaticEntries)
+{
+    const Trace trace = synth::generateTrace(
+        *synth::findWorkload("secret_srv12"), 200'000);
+    std::vector<TraceInstruction> records;
+    for (const TraceInstruction &inst : trace)
+        records.push_back(inst);
+    ASSERT_EQ(records.size(), 200'000u);
+
+    Trace appended;
+    for (const TraceInstruction &inst : records)
+        appended.append(inst);
+    ASSERT_EQ(appended.size(), records.size());
+    for (std::size_t i = 0; i < records.size(); ++i) {
+        ASSERT_EQ(trace[i], records[i]) << "record " << i;
+        ASSERT_EQ(appended[i], records[i]) << "record " << i;
+    }
+
+    std::set<std::tuple<Addr, InstClass, std::uint8_t, RegId, RegId, RegId>>
+        shapes;
+    for (const TraceInstruction &inst : records) {
+        shapes.emplace(inst.pc, inst.cls, inst.size, inst.dst, inst.src[0],
+                       inst.src[1]);
+    }
+    EXPECT_EQ(trace.statics().size(), shapes.size());
+    EXPECT_EQ(appended.statics().size(), shapes.size());
+    EXPECT_LT(shapes.size(), records.size());
+}
+
+// A ChampSim control-flow repair can turn one execution of an ALU op
+// into a jump; both shapes of the pc stay in the table.
+TEST(Trace, SamePcWithTwoShapesKeepsBoth)
+{
+    Trace trace;
+    trace.append(makeAlu(0x1000));
+    trace.append(makeBranch(0x1000, true, 0x2000, InstClass::kDirectJump));
+    trace.append(makeAlu(0x1000));
+    ASSERT_EQ(trace.size(), 3u);
+    EXPECT_EQ(trace.statics().size(), 2u);
+    EXPECT_EQ(trace[0], makeAlu(0x1000));
+    EXPECT_EQ(trace[1],
+              makeBranch(0x1000, true, 0x2000, InstClass::kDirectJump));
+    EXPECT_EQ(trace[2], makeAlu(0x1000));
+    EXPECT_EQ(trace.staticIndex(0), trace.staticIndex(2));
+}
+
+// rebase() moves each static entry's pc once, however many executions
+// share it, and every nonzero address once: two rebases compose into
+// one, and an address of 0 stays 0.
+TEST(Trace, RebaseMovesEachStaticOnce)
+{
+    const Trace original = synth::generateTrace(
+        *synth::findWorkload("secret_int_124"), 20'000);
+    const Addr a = Addr{1} << 45;
+    const Addr b = Addr{3} << 44;
+    Trace twice = original;
+    twice.rebase(a);
+    twice.rebase(b);
+    Trace once = original;
+    once.rebase(a + b);
+
+    ASSERT_EQ(twice.statics().size(), original.statics().size());
+    for (std::size_t k = 0; k < original.statics().size(); ++k)
+        EXPECT_EQ(twice.statics()[k].pc, original.statics()[k].pc + a + b);
+    std::size_t zeros = 0;
+    ASSERT_EQ(twice.size(), original.size());
+    for (std::size_t i = 0; i < original.size(); ++i) {
+        ASSERT_EQ(twice[i], once[i]) << "record " << i;
+        if (original[i].addr == 0) {
+            ++zeros;
+            ASSERT_EQ(twice[i].addr, 0u) << "record " << i;
+        } else {
+            ASSERT_EQ(twice[i].addr, original[i].addr + a + b);
+        }
+    }
+    EXPECT_GT(zeros, 0u);
+}
+
+// An executed instruction costs a 32-bit table reference (with the
+// taken bit) and one 64-bit address. Adding a field to it is a
+// decision that must change this test.
+TEST(Trace, ExecutionIsTwelveBytes)
+{
+    EXPECT_EQ(Trace::kExecutionBytes, 12u);
+    EXPECT_EQ(sizeof(StaticInstruction), 16u);
+    EXPECT_EQ(sizeof(TraceInstruction), 24u);
 }
 
 // ------------------------------------------------------------ validation
