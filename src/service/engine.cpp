@@ -1,5 +1,6 @@
 #include "service/engine.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <exception>
 #include <fstream>
@@ -44,7 +45,21 @@ synthesizeTraces(const SimRequest &request)
     const std::vector<std::string> mix = request.effectiveMix();
     std::vector<Trace> traces;
     traces.reserve(mix.size());
-    for (const std::string &name : mix) {
+    for (std::size_t core = 0; core < mix.size(); ++core) {
+        const std::string &name = mix[core];
+        // Each core is a distinct process: rebase before any AsmDB
+        // profiling so artifacts live in the same address space. Core 0
+        // keeps offset 0, so a solo run is the plain trace. A workload
+        // an earlier core runs is that core's trace, moved.
+        const auto earlier =
+            std::find(mix.begin(), mix.begin() + core, name);
+        if (earlier != mix.begin() + core) {
+            const auto from =
+                static_cast<std::size_t>(earlier - mix.begin());
+            traces.push_back(traces[from]);
+            traces.back().rebase((core - from) * kCoreAddressStride);
+            continue;
+        }
         const synth::WorkloadSpec *spec = synth::findWorkload(name);
         if (spec == nullptr)
             throw std::runtime_error("unknown workload " + name);
@@ -54,10 +69,7 @@ synthesizeTraces(const SimRequest &request)
             traces.push_back(
                 synth::generateTrace(*spec, request.instructions));
         }
-        // Each core is a distinct process: rebase before any AsmDB
-        // profiling so artifacts live in the same address space. Core 0
-        // keeps offset 0, so a solo run is the plain trace.
-        traces.back().rebase((traces.size() - 1) * kCoreAddressStride);
+        traces.back().rebase(core * kCoreAddressStride);
     }
     return traces;
 }

@@ -20,6 +20,7 @@
 
 #include "core/result_compare.hpp"
 #include "core/simulator.hpp"
+#include "multicore/multicore.hpp"
 #include "service/engine.hpp"
 #include "trace/synth/workload.hpp"
 
@@ -82,6 +83,38 @@ TEST(ServiceEngine, ColdResultMatchesDirectSimulation)
     const SimResult direct = sim.run();
 
     EXPECT_EQ(diffSimResults(*outcome.result, direct), "");
+}
+
+// A workload an earlier core already runs is synthesized once: its
+// later cores get a copy moved to their own address offset, record for
+// record what a fresh synthesis rebased there would be.
+TEST(ServiceEngine, RepeatedMixEntriesCopyTheEarlierTrace)
+{
+    SimRequest same;
+    same.workload = "secret_srv12";
+    same.cores = 2;
+    same.instructions = 20'000;
+    SimRequest mixed;
+    mixed.setMix({"secret_int_124", "secret_srv12", "secret_int_124"});
+    mixed.instructions = 20'000;
+    for (const SimRequest &request : {same, mixed}) {
+        const std::vector<std::string> mix = request.effectiveMix();
+        const std::vector<Trace> traces = synthesizeTraces(request);
+        ASSERT_EQ(traces.size(), mix.size());
+        for (std::size_t core = 0; core < mix.size(); ++core) {
+            Trace fresh = synth::generateTrace(
+                *synth::findWorkload(mix[core]), request.instructions);
+            fresh.rebase(core * kCoreAddressStride);
+            const Trace &got = traces[core];
+            EXPECT_EQ(got.name(), fresh.name());
+            EXPECT_EQ(got.seed(), fresh.seed());
+            ASSERT_EQ(got.size(), fresh.size());
+            for (std::size_t i = 0; i < fresh.size(); ++i) {
+                ASSERT_EQ(got[i], fresh[i])
+                    << "core " << core << " record " << i;
+            }
+        }
+    }
 }
 
 TEST(ServiceEngine, RepeatIsServedFromCacheWithoutResimulation)
