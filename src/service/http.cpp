@@ -5,6 +5,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <string_view>
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -275,15 +276,29 @@ serializeRequest(const Request &request)
 std::string
 serializeResponse(const Response &response)
 {
-    std::string out = "HTTP/1.1 " + std::to_string(response.status) + " " +
-                      std::string(reasonPhrase(response.status)) + "\r\n";
+    const std::string status = std::to_string(response.status);
+    const std::string_view reason = reasonPhrase(response.status);
+    const bool add_length = response.header("Content-Length") == nullptr;
+    const std::string length =
+        add_length ? std::to_string(response.body.size()) : std::string();
+
+    // Size the wire string once, so the body is copied into it once.
+    std::size_t bytes = 9 + status.size() + 1 + reason.size() + 2;
     for (const auto &[key, value] : response.headers)
-        out += key + ": " + value + "\r\n";
-    if (response.header("Content-Length") == nullptr)
-        out += "Content-Length: " +
-               std::to_string(response.body.size()) + "\r\n";
-    out += "\r\n";
-    out += response.body;
+        bytes += key.size() + 2 + value.size() + 2;
+    if (add_length)
+        bytes += 16 + length.size() + 2;
+    bytes += 2 + response.body.size();
+
+    std::string out;
+    out.reserve(bytes);
+    out.append("HTTP/1.1 ").append(status).append(" ").append(reason);
+    out.append("\r\n");
+    for (const auto &[key, value] : response.headers)
+        out.append(key).append(": ").append(value).append("\r\n");
+    if (add_length)
+        out.append("Content-Length: ").append(length).append("\r\n");
+    out.append("\r\n").append(response.body);
     return out;
 }
 
