@@ -5,7 +5,7 @@
  * campaign (cached on disk, parallel across workloads).
  *
  * Environment knobs: SIPRE_WORKLOADS (default 48), SIPRE_INSTRUCTIONS
- * (default 1,000,000), SIPRE_THREADS, SIPRE_NO_CACHE.
+ * (default 2,000,000), SIPRE_THREADS, SIPRE_NO_CACHE.
  */
 #ifndef SIPRE_BENCH_BENCH_COMMON_HPP
 #define SIPRE_BENCH_BENCH_COMMON_HPP

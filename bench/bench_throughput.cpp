@@ -2,9 +2,10 @@
  * @file
  * Host-throughput benchmark for the event-driven fast-forward path:
  * runs the standard campaign twice — once with the reference
- * cycle-by-cycle loop, once with cycle skipping — verifies the results
- * are bit-identical, and reports wall-clock seconds, simulated MIPS,
- * and the speedup as one machine-readable JSON line on stdout.
+ * cycle-by-cycle loop (SIPRE_NO_SKIP set around it), once with cycle
+ * skipping — verifies the results are bit-identical, and reports
+ * wall-clock seconds, simulated MIPS, and the speedup as one
+ * machine-readable JSON line on stdout.
  *
  * The campaign cache is bypassed (both runs compute from scratch), so
  * the numbers measure simulation itself. Environment knobs:
@@ -12,6 +13,7 @@
  */
 #include <chrono>
 #include <cstdint>
+#include <cstdlib>
 #include <iostream>
 
 #include "core/experiment.hpp"
@@ -29,11 +31,22 @@ struct TimedCampaign
     double seconds = 0.0;
 };
 
+/**
+ * Sets SIPRE_NO_SKIP for its lifetime, so every Simulator::run in that
+ * scope takes the reference loop.
+ */
+struct ReferenceLoopScope
+{
+    ReferenceLoopScope() { ::setenv("SIPRE_NO_SKIP", "1", 1); }
+    ~ReferenceLoopScope() { ::unsetenv("SIPRE_NO_SKIP"); }
+    ReferenceLoopScope(const ReferenceLoopScope &) = delete;
+    ReferenceLoopScope &operator=(const ReferenceLoopScope &) = delete;
+};
+
 TimedCampaign
-timeCampaign(sipre::CampaignOptions options, bool fast_forward)
+timeCampaign(sipre::CampaignOptions options)
 {
     options.use_cache = false;
-    options.fast_forward = fast_forward;
     TimedCampaign timed;
     const auto t0 = std::chrono::steady_clock::now();
     timed.result = sipre::runStandardCampaign(options);
@@ -70,9 +83,12 @@ main()
               << options.instructions << " (cache bypassed)\n";
 
     std::cerr << "[throughput] reference cycle-by-cycle run...\n";
-    const TimedCampaign ref = timeCampaign(options, false);
+    const TimedCampaign ref = [&] {
+        const ReferenceLoopScope reference;
+        return timeCampaign(options);
+    }();
     std::cerr << "[throughput] fast-forward (cycle skipping) run...\n";
-    const TimedCampaign ffw = timeCampaign(options, true);
+    const TimedCampaign ffw = timeCampaign(options);
 
     // The speedup is only meaningful if the skipping run computed the
     // exact same campaign.

@@ -105,7 +105,9 @@ rewriteTrace(const Trace &original, const AsmdbPlan &plan,
     }
 
     // Pass 3: copy every execution through, with the site's prefetches
-    // just before it. Only a taken branch's target moves.
+    // just before it. A branch's target moves whether or not that
+    // execution was taken, so each static branch keeps one target; a
+    // target the trace does not record (0) stays 0.
     for (std::size_t i = 0; i < original.size(); ++i) {
         const Trace::StaticIndex s = original.staticIndex(i);
         const Site *site = site_of[s];
@@ -116,11 +118,10 @@ rewriteTrace(const Trace &original, const AsmdbPlan &plan,
                     site->targets[k]);
             }
         }
-        const bool taken = original.taken(i);
         const Addr addr = original.addr(i);
         result.trace.appendExecution(
-            s, taken,
-            taken && statics[s].isBranch() ? layout.map(addr) : addr);
+            s, original.taken(i),
+            statics[s].isBranch() && addr != 0 ? layout.map(addr) : addr);
     }
     return result;
 }

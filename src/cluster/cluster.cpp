@@ -7,8 +7,8 @@
 
 #include <unistd.h>
 
-#include "core/experiment.hpp"
 #include "core/json_io.hpp"
+#include "core/result_text.hpp"
 #include "util/fault.hpp"
 #include "util/rendezvous.hpp"
 
@@ -442,7 +442,7 @@ ClusterTier::handle(const Request &request)
         case service::SubmitStatus::kOk:
             break;
         }
-        // The lossless campaign text format — not JSON — so the
+        // The lossless result text format — not JSON — so the
         // requester caches a bit-exact SimResult and cluster results
         // stay byte-identical to solo runs.
         std::ostringstream body;
@@ -452,9 +452,7 @@ ClusterTier::handle(const Request &request)
         response.headers.emplace_back("Content-Type", "text/plain");
         response.headers.emplace_back(
             "X-Sipre-Cached",
-            (outcome.cache_hit || outcome.disk_hit || outcome.coalesced)
-                ? "1"
-                : "0");
+            (outcome.cache_hit || outcome.coalesced) ? "1" : "0");
         response.body = body.str();
         return response;
     }

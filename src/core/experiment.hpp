@@ -1,11 +1,13 @@
 /**
  * @file
  * The standard evaluation campaign behind every figure in the paper:
- * for each workload, run the five configurations of Fig. 1
- * (conservative baseline, AsmDB, AsmDB-no-overhead, industry FDP,
- * AsmDB+FDP, AsmDB+FDP-no-overhead) and record everything the figures
- * need. Workloads run in parallel and results are cached on disk so
- * each per-figure benchmark binary can reuse one computation.
+ * for each workload, the six configurations of Fig. 1 (FTQ 2 and FTQ
+ * 24, each with no software prefetching, with AsmDB, and with AsmDB
+ * without insertion overhead), computed with the service's request
+ * recipe (service::runAsmdbPass and service::runWithPass), plus the
+ * Fig. 7 plan figures. Workloads run in parallel and results are
+ * cached on disk so each per-figure benchmark binary can reuse one
+ * computation.
  */
 #ifndef SIPRE_CORE_EXPERIMENT_HPP
 #define SIPRE_CORE_EXPERIMENT_HPP
@@ -15,6 +17,8 @@
 #include <string>
 #include <vector>
 
+// perfbench/stats.cpp reaches writeSimResultText through this header.
+#include "core/result_text.hpp"
 #include "core/sim_result.hpp"
 
 namespace sipre
@@ -27,7 +31,6 @@ struct CampaignOptions
     std::size_t instructions = 2'000'000;///< trace length per workload
     unsigned threads = 0;                ///< 0 = hardware concurrency
     bool use_cache = true;               ///< reuse/persist results file
-    bool fast_forward = true;            ///< event-driven cycle skipping
     std::string cache_dir = ".";
 
     /**
@@ -37,7 +40,11 @@ struct CampaignOptions
     static CampaignOptions fromEnv();
 };
 
-/** All results for one workload across the five configurations. */
+/**
+ * All results for one workload across the six configurations. Each
+ * equals service::runSimRequest's for the same (workload,
+ * instructions, ftq, mode), labels included.
+ */
 struct WorkloadRecord
 {
     std::string name;
@@ -49,9 +56,7 @@ struct WorkloadRecord
     SimResult asmdb_ind;        ///< AsmDB + industry FDP
     SimResult asmdb_ind_ideal;  ///< AsmDB + FDP, no insertion overhead
 
-    // Plan/bloat measurements (Fig. 7), per profiling configuration.
-    double static_bloat_cons = 0.0;
-    double dynamic_bloat_cons = 0.0;
+    // Plan/bloat measurements (Fig. 7) of the FTQ-24 AsmDB pass.
     double static_bloat_ind = 0.0;
     double dynamic_bloat_ind = 0.0;
     std::uint64_t insertions_ind = 0;
@@ -79,9 +84,11 @@ CampaignResult runStandardCampaign(const CampaignOptions &options,
 //
 // The on-disk campaign cache is exposed so tests can exercise the
 // round-trip directly and tools can inspect or pre-seed cache files.
+// It stays beside the engine's result-cache file because a record's
+// Fig. 7 plan figures are not part of any SimResult.
 
 /** Bumped whenever the serialized layout changes; stale files reload. */
-inline constexpr int kCampaignCacheVersion = 6;
+inline constexpr int kCampaignCacheVersion = 7;
 
 /** File the campaign for `options` persists to / loads from. */
 std::string campaignCachePath(const CampaignOptions &options);
@@ -96,16 +103,6 @@ bool loadCampaign(const CampaignOptions &options, CampaignResult &result);
 /** Persist `result` to campaignCachePath(options). Best-effort. */
 void saveCampaign(const CampaignOptions &options,
                   const CampaignResult &result);
-
-/**
- * Serialize one SimResult in the campaign-cache text format (lossless,
- * single line, max_digits10 doubles). Used by the service's persistent
- * result cache so both caches share one serializer.
- */
-void writeSimResultText(std::ostream &os, const SimResult &result);
-
-/** Inverse of writeSimResultText. Returns false on a garbled stream. */
-bool readSimResultText(std::istream &is, SimResult &result);
 
 } // namespace sipre
 

@@ -6,8 +6,8 @@
 #include <fstream>
 #include <sstream>
 
-#include "core/experiment.hpp"
 #include "core/json_io.hpp"
+#include "core/result_text.hpp"
 #include "util/fsio.hpp"
 
 namespace sipre::jobs

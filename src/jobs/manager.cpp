@@ -259,8 +259,7 @@ JobManager::executorLoop()
         } else if (outcome.status == service::SubmitStatus::kOk) {
             shard.state = ShardState::kDone;
             shard.result = *outcome.result;
-            shard.cached = outcome.cache_hit || outcome.disk_hit ||
-                           outcome.coalesced;
+            shard.cached = outcome.cache_hit || outcome.coalesced;
             shard.latency_us = outcome.latency_us;
             ++shards_done_;
             if (shard.cached)

@@ -3,13 +3,13 @@
  * The asynchronous campaign-job layer between the HTTP surface and the
  * SimulationEngine: accepts sweep specs, expands them into
  * per-(workload, config) shards, and executes the shards through the
- * engine's result tiers (LRU → campaign disk cache → coalescing →
- * workers) on a small pool of shard-executor threads. Every shard
- * completion checkpoints the job's on-disk record, so a restarted
- * daemon reloads the store and resumes jobs without re-simulating
- * finished shards. Jobs support listing, progress with an ETA,
- * cancellation, aggregated result fetch, and a bounded number of
- * concurrently active jobs with backpressure.
+ * engine's result tiers (LRU → coalescing → workers) on a small pool
+ * of shard-executor threads. Every shard completion checkpoints the
+ * job's on-disk record, so a restarted daemon reloads the store and
+ * resumes jobs without re-simulating finished shards. Jobs support
+ * listing, progress with an ETA, cancellation, aggregated result
+ * fetch, and a bounded number of concurrently active jobs with
+ * backpressure.
  */
 #ifndef SIPRE_JOBS_MANAGER_HPP
 #define SIPRE_JOBS_MANAGER_HPP

@@ -1,11 +1,11 @@
 /**
  * @file
  * The pluggable result-backend seam in the engine's tier chain. The
- * chain is LRU → campaign disk cache → coalescer → *backend* → local
- * workers: after every cache tier misses, the engine asks the backend
- * whether this key should execute here, and if not, to resolve it
- * remotely. The cluster peer tier (src/cluster/) is the one production
- * implementation; tests plug in fakes to exercise the seam directly.
+ * chain is LRU → coalescer → *backend* → local workers: after every
+ * cache tier misses, the engine asks the backend whether this key
+ * should execute here, and if not, to resolve it remotely. The cluster
+ * peer tier (src/cluster/) is the one production implementation; tests
+ * plug in fakes to exercise the seam directly.
  */
 #ifndef SIPRE_SERVICE_BACKEND_HPP
 #define SIPRE_SERVICE_BACKEND_HPP

@@ -9,6 +9,7 @@
 #include "asmdb/extensions.hpp"
 #include "asmdb/pipeline.hpp"
 #include "core/json_io.hpp"
+#include "core/result_text.hpp"
 #include "core/simulator.hpp"
 #include "multicore/multicore.hpp"
 #include "trace/synth/workload.hpp"
@@ -74,66 +75,70 @@ synthesizeTraces(const SimRequest &request)
     return traces;
 }
 
-RunReport
-runRecipe(const SimRequest &request, const std::vector<Trace> &traces,
-          std::uint32_t scenario_window, const SimResult *external_profile)
+AsmdbPass
+runAsmdbPass(const SimRequest &request, const std::vector<Trace> &traces,
+             const SimResult *external_profile)
 {
     const SimConfig config = request.toConfig();
     asmdb::AsmdbParams params;
     params.distance_provider = request.distance_provider;
     params.external_profile = external_profile;
 
-    // Artifact storage must outlive the simulator (it holds raw trace
-    // pointers); rewritten-trace modes swap each core's trace for its
-    // rewritten counterpart. Capacity is reserved up front because the
-    // swap stores &artifacts.back().rewrite.trace mid-loop — a grow
-    // would dangle every earlier core's pointer.
-    std::vector<asmdb::AsmdbArtifacts> artifacts;
-    std::vector<asmdb::FeedbackResult> feedback;
-    artifacts.reserve(traces.size());
-    feedback.reserve(traces.size());
-    std::vector<const Trace *> run_traces;
-    for (const Trace &t : traces)
-        run_traces.push_back(&t);
-
-    RunReport report;
+    AsmdbPass pass;
     switch (request.mode) {
     case SimMode::kBase:
         break;
     case SimMode::kAsmdb:
     case SimMode::kNoOverhead:
     case SimMode::kMetadata:
-        for (std::size_t i = 0; i < traces.size(); ++i) {
-            const asmdb::AsmdbArtifacts &art = artifacts.emplace_back(
-                asmdb::runPipeline(traces[i], config, params));
-            report.cores.push_back(
+        for (const Trace &trace : traces) {
+            const asmdb::AsmdbArtifacts &art = pass.artifacts.emplace_back(
+                asmdb::runPipeline(trace, config, params));
+            pass.cores.push_back(
                 corePlan(art.decision, art.plan, art.rewrite));
-            if (request.mode == SimMode::kAsmdb)
-                run_traces[i] = &art.rewrite.trace;
         }
         break;
     case SimMode::kFeedback:
-        for (std::size_t i = 0; i < traces.size(); ++i) {
-            const asmdb::FeedbackResult &fb = feedback.emplace_back(
-                asmdb::runFeedbackDirected(traces[i], config, params));
-            RunReport::CorePlan &core = report.cores.emplace_back(
+        for (const Trace &trace : traces) {
+            asmdb::FeedbackResult fb =
+                asmdb::runFeedbackDirected(trace, config, params);
+            RunReport::CorePlan &core = pass.cores.emplace_back(
                 corePlan(fb.decision, fb.plan, fb.rewrite));
-            core.insertions_per_round = fb.insertions_per_round;
+            core.insertions_per_round = std::move(fb.insertions_per_round);
             core.dropped_insertions = fb.dropped_insertions;
-            run_traces[i] = &fb.rewrite.trace;
+            asmdb::AsmdbArtifacts &art = pass.artifacts.emplace_back();
+            art.decision = std::move(fb.decision);
+            art.plan = std::move(fb.plan);
+            art.rewrite = std::move(fb.rewrite);
+            art.triggers = std::move(fb.triggers);
         }
         break;
     }
+    return pass;
+}
 
-    Simulator sim(config, run_traces);
+RunReport
+runWithPass(const SimRequest &request, const std::vector<Trace> &traces,
+            const AsmdbPass &pass, std::uint32_t scenario_window)
+{
+    const bool rewritten = request.mode == SimMode::kAsmdb ||
+                           request.mode == SimMode::kFeedback;
+    std::vector<const Trace *> run_traces;
+    for (std::size_t i = 0; i < traces.size(); ++i)
+        run_traces.push_back(rewritten ? &pass.artifacts[i].rewrite.trace
+                                       : &traces[i]);
+
+    RunReport report;
+    report.cores = pass.cores;
+    Simulator sim(request.toConfig(), run_traces);
     if (request.mode == SimMode::kNoOverhead) {
-        for (std::size_t i = 0; i < artifacts.size(); ++i)
-            sim.setSwPrefetchTriggers(&artifacts[i].triggers, i);
+        for (std::size_t i = 0; i < pass.artifacts.size(); ++i)
+            sim.setSwPrefetchTriggers(&pass.artifacts[i].triggers, i);
     } else if (request.mode == SimMode::kMetadata) {
-        for (std::size_t i = 0; i < artifacts.size(); ++i)
+        for (std::size_t i = 0; i < pass.artifacts.size(); ++i)
             sim.attachMetadataPreloader(
                 MetadataPreloadConfig{},
-                asmdb::buildMetadataMap(artifacts[i].plan), i);
+                asmdb::buildMetadataMap(pass.artifacts[i].plan), i);
     }
     if (scenario_window != 0)
         sim.enableScenarioTimeline(scenario_window);
@@ -146,63 +151,26 @@ runRecipe(const SimRequest &request, const std::vector<Trace> &traces,
     return report;
 }
 
+RunReport
+runRecipe(const SimRequest &request, const std::vector<Trace> &traces,
+          std::uint32_t scenario_window, const SimResult *external_profile)
+{
+    return runWithPass(request, traces,
+                       runAsmdbPass(request, traces, external_profile),
+                       scenario_window);
+}
+
 SimResult
 runSimRequest(const SimRequest &request)
 {
     return runRecipe(request, synthesizeTraces(request)).result;
 }
 
-namespace
-{
-
-/**
- * Canonical keys for the six standard-campaign configurations of one
- * workload, paired with pointers-to-member into WorkloadRecord. Only
- * base and noovh modes map onto campaign records; asmdb records come
- * from rewritten traces, which the `asmdb` request mode reproduces.
- */
-struct CampaignKeyMapping
-{
-    SimMode mode;
-    std::uint32_t ftq;
-    SimResult WorkloadRecord::*member;
-};
-
-constexpr CampaignKeyMapping kCampaignMappings[] = {
-    {SimMode::kBase, 2, &WorkloadRecord::cons},
-    {SimMode::kBase, 24, &WorkloadRecord::industry},
-    {SimMode::kAsmdb, 2, &WorkloadRecord::asmdb_cons},
-    {SimMode::kAsmdb, 24, &WorkloadRecord::asmdb_ind},
-    {SimMode::kNoOverhead, 2, &WorkloadRecord::asmdb_cons_ideal},
-    {SimMode::kNoOverhead, 24, &WorkloadRecord::asmdb_ind_ideal},
-};
-
-} // namespace
-
 SimulationEngine::SimulationEngine(const EngineOptions &options)
     : options_(options), cache_(options.cache_capacity)
 {
     if (options_.workers == 0)
         options_.workers = 1;
-
-    if (options_.use_campaign_cache) {
-        CampaignResult campaign;
-        if (loadCampaign(options_.campaign, campaign)) {
-            for (const auto &rec : campaign.workloads) {
-                for (const auto &mapping : kCampaignMappings) {
-                    SimRequest req;
-                    req.workload = rec.name;
-                    req.instructions = options_.campaign.instructions;
-                    req.ftq_entries = mapping.ftq;
-                    req.mode = mapping.mode;
-                    disk_cache_.emplace(
-                        req.canonicalKey(),
-                        encode(std::make_shared<const SimResult>(
-                            rec.*mapping.member)));
-                }
-            }
-        }
-    }
 
     workers_.reserve(options_.workers);
     for (unsigned i = 0; i < options_.workers; ++i)
@@ -306,21 +274,6 @@ SimulationEngine::submit(const SimRequest &request, bool allow_proxy)
             job = it->second;
             outcome.coalesced = true;
             span.arg("tier", "coalesced");
-        } else if (const auto disk = disk_cache_.find(key);
-                   disk != disk_cache_.end()) {
-            ++disk_hits_;
-            span.arg("tier", "campaign-cache");
-            cache_.put(key, disk->second);
-            outcome.status = SubmitStatus::kOk;
-            outcome.result = disk->second.result;
-            outcome.result_json = disk->second.json;
-            outcome.disk_hit = true;
-            outcome.latency_us =
-                std::chrono::duration<double, std::micro>(
-                    std::chrono::steady_clock::now() - start)
-                    .count();
-            recordLatencyLocked(outcome.latency_us);
-            return outcome;
         } else if (backend_ != nullptr && allow_proxy &&
                    !backend_->localExecution(key)) {
             // Peer-owned key: register the job in inflight_ so
@@ -568,7 +521,6 @@ SimulationEngine::stats() const
     s.requests = requests_;
     s.sim_runs = sim_runs_;
     s.cache_hits = cache_hits_;
-    s.disk_hits = disk_hits_;
     s.coalesced = coalesced_;
     s.proxied = proxied_;
     s.rejected = rejected_;

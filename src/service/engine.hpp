@@ -1,11 +1,12 @@
 /**
  * @file
  * The simulation engine behind the service: a fixed worker pool fed by
- * a bounded queue, with three result tiers in front of actual
- * simulation — an in-memory LRU cache, the on-disk campaign cache, and
- * an in-flight coalescing map so N concurrent identical requests run
- * exactly one simulation. Everything is observable through counters
- * and a latency histogram for the /metrics endpoint.
+ * a bounded queue, with two result tiers in front of actual simulation
+ * — an in-memory LRU cache and an in-flight coalescing map so N
+ * concurrent identical requests run exactly one simulation. Everything
+ * is observable through counters and a latency histogram for the
+ * /metrics endpoint. Also the request recipe every simulation runs:
+ * the engine's workers, `sipre_cli` and the standard campaign.
  */
 #ifndef SIPRE_SERVICE_ENGINE_HPP
 #define SIPRE_SERVICE_ENGINE_HPP
@@ -21,7 +22,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "core/experiment.hpp"
+#include "asmdb/pipeline.hpp"
 #include "core/metadata_preload.hpp"
 #include "core/sim_result.hpp"
 #include "service/backend.hpp"
@@ -50,21 +51,11 @@ struct EngineOptions
     std::size_t cache_capacity = 256;///< LRU result entries
 
     /**
-     * When true, requests matching one of the standard campaign's six
-     * configurations are answered from the campaign disk cache (loaded
-     * once at construction) instead of re-simulating. Disk-served
-     * results keep the campaign's config labels ("conservative-ftq2" /
-     * "industry-ftq24"); all statistics are identical to a fresh run.
-     */
-    bool use_campaign_cache = false;
-    CampaignOptions campaign;
-
-    /**
      * When nonzero, freshly simulated results carry a windowed FTQ
      * scenario timeline (Simulator::enableScenarioTimeline) with this
-     * window size in cycles. Cache-tier results (LRU, campaign disk)
-     * keep whatever timeline they were stored with — typically none —
-     * which is why this is not part of the request key.
+     * window size in cycles. LRU results keep whatever timeline they
+     * were stored with — typically none — which is why this is not
+     * part of the request key.
      */
     std::uint32_t scenario_window = 0;
 };
@@ -131,7 +122,6 @@ struct SubmitOutcome
     std::shared_ptr<const std::string> result_json;
     std::string error;                       ///< set when not kOk
     bool cache_hit = false;  ///< served from the in-memory LRU
-    bool disk_hit = false;   ///< served from the campaign disk cache
     bool coalesced = false;  ///< shared an in-flight simulation
     bool proxied = false;    ///< resolved by the result backend (peer)
     double latency_us = 0.0; ///< wall time inside submit()
@@ -143,7 +133,9 @@ struct EngineStats
     std::uint64_t requests = 0;   ///< submit() calls (any outcome)
     std::uint64_t sim_runs = 0;   ///< simulations actually executed
     std::uint64_t cache_hits = 0; ///< LRU hits
-    std::uint64_t disk_hits = 0;  ///< campaign-cache hits
+    /// Always 0: the engine has no campaign tier. Kept only because
+    /// perfbench/wl_serve.cpp sums it into its hit rate.
+    std::uint64_t disk_hits = 0;
     std::uint64_t coalesced = 0;  ///< requests that joined an in-flight run
     std::uint64_t proxied = 0;    ///< requests resolved by the backend
     std::uint64_t rejected = 0;   ///< backpressure rejections
@@ -201,9 +193,9 @@ struct EngineStats
     cacheHitRate() const
     {
         const std::uint64_t lookups =
-            cache_hits + disk_hits + coalesced + sim_runs + failures;
+            cache_hits + coalesced + sim_runs + failures;
         return lookups == 0 ? 0.0
-                            : static_cast<double>(cache_hits + disk_hits) /
+                            : static_cast<double>(cache_hits) /
                                   static_cast<double>(lookups);
     }
 };
@@ -216,23 +208,56 @@ struct EngineStats
  */
 std::vector<Trace> synthesizeTraces(const SimRequest &request);
 
+/** Each core's AsmDB pass over the traces the caller supplies. */
+struct AsmdbPass
+{
+    /**
+     * One per core: the plan, rewrite and triggers the run step uses.
+     * Feedback mode leaves its final round's here, with no profiling
+     * run. The other modes keep the profiling run, which for a one-core
+     * request is the `base` mode's result.
+     */
+    std::vector<asmdb::AsmdbArtifacts> artifacts;
+    /** The same passes as the run report keeps them. */
+    std::vector<RunReport::CorePlan> cores;
+};
+
 /**
- * Step 2, the per-mode recipe over one trace per core that the caller
- * supplies: each core's AsmDB pass (profiled on its own), the
- * rewritten-trace swap, the no-overhead triggers or the metadata
- * preloader, and one Simulator over the shared LLC/DRAM. The service
- * runs it on step 1's traces, sipre_cli on step 1's or a trace file's,
- * so the CLI's output and a shard's result come from the same code. A
- * nonzero `scenario_window` turns on the windowed FTQ scenario
- * timeline; `external_profile` (may be null) is a prior run for the
- * `profile` distance provider.
+ * Step 2: each core's AsmDB pass, profiled on its own trace under the
+ * request's config and distance provider (feedback mode runs its
+ * rounds). Empty for `base`. `external_profile` (may be null) is a
+ * prior run for the `profile` distance provider.
+ */
+AsmdbPass runAsmdbPass(const SimRequest &request,
+                       const std::vector<Trace> &traces,
+                       const SimResult *external_profile = nullptr);
+
+/**
+ * Step 3: one Simulator over the shared LLC/DRAM, each core on the
+ * trace the mode chooses (its own, or the pass's rewrite for `asmdb`
+ * and `feedback`), with the no-overhead triggers or the metadata
+ * preloader. `pass` must be step 2's over the same traces for a
+ * request of the same config and an AsmDB-family mode; one pass serves
+ * `asmdb`, `noovh` and `metadata`. A nonzero `scenario_window` turns
+ * on the windowed FTQ scenario timeline.
+ */
+RunReport runWithPass(const SimRequest &request,
+                      const std::vector<Trace> &traces,
+                      const AsmdbPass &pass,
+                      std::uint32_t scenario_window = 0);
+
+/**
+ * Steps 2 and 3, the per-mode recipe over one trace per core that the
+ * caller supplies. The service runs it on step 1's traces, sipre_cli on
+ * step 1's or a trace file's, so the CLI's output and a shard's result
+ * come from the same code.
  */
 RunReport runRecipe(const SimRequest &request,
                     const std::vector<Trace> &traces,
                     std::uint32_t scenario_window = 0,
                     const SimResult *external_profile = nullptr);
 
-/** Both steps: the request's result. */
+/** All three steps: the request's result. */
 SimResult runSimRequest(const SimRequest &request);
 
 /** See file comment. Thread-safe; submit() blocks until resolution. */
@@ -246,8 +271,8 @@ class SimulationEngine
     SimulationEngine &operator=(const SimulationEngine &) = delete;
 
     /**
-     * Resolve one request: LRU hit, campaign-cache hit, coalesce onto
-     * an identical in-flight run, resolve through the result backend
+     * Resolve one request: LRU hit, coalesce onto an identical
+     * in-flight run, resolve through the result backend
      * (when one is installed and owns the key), or enqueue for a worker
      * (blocking until done). Returns kRejected immediately when the
      * queue is at capacity. `allow_proxy = false` skips the backend —
@@ -277,8 +302,9 @@ class SimulationEngine
     EngineStats stats() const;
 
     /**
-     * Persist the LRU contents (MRU-first) to `path` in the campaign
-     * text format, headed "sipre-results <kResultCacheVersion> <n>".
+     * Persist the LRU contents (MRU-first) to `path` in the result text
+     * format (writeSimResultText), headed "sipre-results
+     * <kResultCacheVersion> <n>".
      * Returns the number of entries written, or -1 on an unwritable
      * path.
      */
@@ -340,14 +366,12 @@ class SimulationEngine
     std::deque<std::shared_ptr<Job>> queue_;
     std::unordered_map<std::string, std::shared_ptr<Job>> inflight_;
     LruCache<CachedResult> cache_;
-    std::unordered_map<std::string, CachedResult> disk_cache_;
     bool stopping_ = false;
 
     // Counters (guarded by mutex_).
     std::uint64_t requests_ = 0;
     std::uint64_t sim_runs_ = 0;
     std::uint64_t cache_hits_ = 0;
-    std::uint64_t disk_hits_ = 0;
     std::uint64_t coalesced_ = 0;
     std::uint64_t proxied_ = 0;
     std::uint64_t rejected_ = 0;

@@ -1,8 +1,8 @@
 /**
  * @file
- * A small string-keyed LRU cache: the in-memory result tier sitting in
- * front of the on-disk campaign cache. Not internally synchronized —
- * the engine serializes access under its own mutex.
+ * A small string-keyed LRU cache: the engine's in-memory result tier.
+ * Not internally synchronized — the engine serializes access under its
+ * own mutex.
  */
 #ifndef SIPRE_SERVICE_RESULT_CACHE_HPP
 #define SIPRE_SERVICE_RESULT_CACHE_HPP

@@ -354,8 +354,7 @@ ServiceServer::handleSimulate(const http::Request &request)
     JsonSink os(body);
     os << "{\"status\":\"ok\",\"key\":\""
        << jsonEscape(outcome.key) << "\",\"cached\":"
-       << (outcome.cache_hit ? "true" : "false") << ",\"disk_cache\":"
-       << (outcome.disk_hit ? "true" : "false") << ",\"coalesced\":"
+       << (outcome.cache_hit ? "true" : "false") << ",\"coalesced\":"
        << (outcome.coalesced ? "true" : "false");
     // Additive-only field: emitted solely when a cluster backend
     // resolved the request, so single-node response bodies stay
@@ -423,8 +422,6 @@ ServiceServer::handleMetrics() const
          << "sipre_sim_runs_total " << stats.sim_runs << "\n"
          << "# TYPE sipre_cache_hits_total counter\n"
          << "sipre_cache_hits_total " << stats.cache_hits << "\n"
-         << "# TYPE sipre_disk_cache_hits_total counter\n"
-         << "sipre_disk_cache_hits_total " << stats.disk_hits << "\n"
          << "# TYPE sipre_coalesced_total counter\n"
          << "sipre_coalesced_total " << stats.coalesced << "\n"
          << "# TYPE sipre_rejected_total counter\n"

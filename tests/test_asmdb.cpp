@@ -4,6 +4,8 @@
  * (distance / window / fanout criteria), code-layout shifting, trace
  * rewriting, and the end-to-end pipeline's miss-reduction property.
  */
+#include <unordered_map>
+
 #include <gtest/gtest.h>
 
 #include "asmdb/pipeline.hpp"
@@ -342,6 +344,32 @@ TEST(Rewriter, JumpTargetsRemapped)
             i + 1 < result.trace.size()) {
             EXPECT_EQ(result.trace[i + 1].pc, inst.addr);
         }
+    }
+
+    // A not-taken execution's target moves too: in a real rewrite each
+    // executed direct branch carries one target across its executions.
+    for (const char *name : {"secret_srv12", "secret_int_124"}) {
+        const Trace program =
+            synth::generateTrace(*synth::findWorkload(name), 200'000);
+        const Trace rewritten =
+            runPipeline(program, SimConfig::conservative()).rewrite.trace;
+        std::unordered_map<Addr, Addr> target_of;
+        std::size_t direct = 0;
+        for (std::size_t i = 0; i < rewritten.size(); ++i) {
+            const TraceInstruction inst = rewritten[i];
+            if (inst.cls != InstClass::kCondBranch &&
+                inst.cls != InstClass::kDirectJump &&
+                inst.cls != InstClass::kCall)
+                continue;
+            ++direct;
+            const auto it = target_of.emplace(inst.pc, inst.addr).first;
+            if (it->second != inst.addr) {
+                ADD_FAILURE() << name << ": the branch at 0x" << std::hex
+                              << inst.pc << " has two targets";
+                break;
+            }
+        }
+        EXPECT_GT(direct, 0u) << name;
     }
 }
 

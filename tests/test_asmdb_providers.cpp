@@ -17,8 +17,8 @@
 
 #include "asmdb/pipeline.hpp"
 #include "asmdb/providers.hpp"
-#include "core/experiment.hpp"
 #include "core/options.hpp"
+#include "core/result_text.hpp"
 #include "core/simulator.hpp"
 #include "jobs/sweep.hpp"
 #include "service/request.hpp"

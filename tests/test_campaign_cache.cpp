@@ -1,8 +1,9 @@
 /**
  * @file
- * Tests for the campaign layer's plumbing: the on-disk results cache
- * (lossless round-trip, stale-version rejection) and the environment
- * parsing behind CampaignOptions::fromEnv().
+ * Tests for the campaign layer: each record is the service's request
+ * recipe, the on-disk results cache (lossless round-trip,
+ * stale-version rejection), and the environment parsing behind
+ * CampaignOptions::fromEnv().
  */
 #include <cstdlib>
 #include <filesystem>
@@ -15,6 +16,7 @@
 
 #include "core/experiment.hpp"
 #include "core/result_compare.hpp"
+#include "service/engine.hpp"
 
 namespace sipre
 {
@@ -61,12 +63,58 @@ expectRecordsIdentical(const WorkloadRecord &a, const WorkloadRecord &b)
     EXPECT_EQ(diffSimResults(a.asmdb_ind, b.asmdb_ind), "") << a.name;
     EXPECT_EQ(diffSimResults(a.asmdb_ind_ideal, b.asmdb_ind_ideal), "")
         << a.name;
-    EXPECT_EQ(a.static_bloat_cons, b.static_bloat_cons);
-    EXPECT_EQ(a.dynamic_bloat_cons, b.dynamic_bloat_cons);
     EXPECT_EQ(a.static_bloat_ind, b.static_bloat_ind);
     EXPECT_EQ(a.dynamic_bloat_ind, b.dynamic_bloat_ind);
     EXPECT_EQ(a.insertions_ind, b.insertions_ind);
     EXPECT_EQ(a.plan_min_distance_ind, b.plan_min_distance_ind);
+}
+
+// The campaign runs the request executor: each of a record's six
+// results equals service::runSimRequest's for its (workload,
+// instructions, ftq, mode), config label included, and its Fig. 7
+// figures are the FTQ-24 asmdb request's plan.
+TEST(Campaign, RecordsEqualRequestResults)
+{
+    const TinyCampaign tiny;
+    const CampaignResult campaign = runStandardCampaign(tiny.options);
+    ASSERT_EQ(campaign.workloads.size(), 2u);
+    const struct
+    {
+        std::uint32_t ftq;
+        SimMode mode;
+        SimResult WorkloadRecord::*member;
+    } configs[] = {
+        {2, SimMode::kBase, &WorkloadRecord::cons},
+        {24, SimMode::kBase, &WorkloadRecord::industry},
+        {2, SimMode::kAsmdb, &WorkloadRecord::asmdb_cons},
+        {2, SimMode::kNoOverhead, &WorkloadRecord::asmdb_cons_ideal},
+        {24, SimMode::kAsmdb, &WorkloadRecord::asmdb_ind},
+        {24, SimMode::kNoOverhead, &WorkloadRecord::asmdb_ind_ideal},
+    };
+    for (const WorkloadRecord &record : campaign.workloads) {
+        service::SimRequest request;
+        request.workload = record.name;
+        request.instructions = tiny.options.instructions;
+        for (const auto &config : configs) {
+            request.ftq_entries = config.ftq;
+            request.mode = config.mode;
+            EXPECT_EQ(diffSimResults(record.*config.member,
+                                     service::runSimRequest(request)),
+                      "")
+                << request.canonicalKey();
+        }
+
+        request.ftq_entries = 24;
+        request.mode = SimMode::kAsmdb;
+        const service::RunReport report =
+            service::runRecipe(request, service::synthesizeTraces(request));
+        ASSERT_EQ(report.cores.size(), 1u);
+        const service::RunReport::CorePlan &plan = report.cores[0];
+        EXPECT_EQ(record.static_bloat_ind, plan.static_bloat);
+        EXPECT_EQ(record.dynamic_bloat_ind, plan.dynamic_bloat);
+        EXPECT_EQ(record.insertions_ind, plan.insertions);
+        EXPECT_EQ(record.plan_min_distance_ind, plan.min_distance);
+    }
 }
 
 TEST(CampaignCache, RoundTripIsFieldExact)

@@ -30,7 +30,7 @@
 #include <gtest/gtest.h>
 
 #include "cluster/cluster.hpp"
-#include "core/experiment.hpp"
+#include "core/result_text.hpp"
 #include "jobs/sweep.hpp"
 #include "service/client.hpp"
 #include "service/engine.hpp"

@@ -18,7 +18,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/experiment.hpp"
+#include "core/result_text.hpp"
 #include "jobs/job_store.hpp"
 #include "jobs/manager.hpp"
 #include "jobs/sweep.hpp"

@@ -24,9 +24,9 @@
 
 #include "asmdb/extensions.hpp"
 #include "asmdb/pipeline.hpp"
-#include "core/experiment.hpp"
 #include "core/json_io.hpp"
 #include "core/result_compare.hpp"
+#include "core/result_text.hpp"
 #include "core/simulator.hpp"
 #include "multicore/multicore.hpp"
 #include "trace/synth/workload.hpp"
@@ -101,9 +101,9 @@ expectSkipMatchesReference(
 }
 
 // The one-core pass-through guarantee over the standard campaign: the
-// six configurations of every synth workload, mirroring
-// runOneWorkload() in experiment.cpp including the AsmDB pipeline runs
-// against both baselines, never queue at the controller's port.
+// six configurations of every synth workload, including the AsmDB
+// pipeline runs against both baselines, never queue at the
+// controller's port.
 TEST_F(MultiCoreDifferential, StandardCampaignCores1BitIdentical)
 {
     constexpr std::size_t kInstructions = 40'000;

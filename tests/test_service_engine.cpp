@@ -4,8 +4,7 @@
  * Simulator directly, repeats hit the LRU without re-simulation, N
  * concurrent identical requests coalesce into exactly one run, the
  * bounded queue rejects overflow while accepted work completes, and
- * the result cache layers over the campaign disk cache and survives a
- * flush/reload cycle.
+ * the result cache survives a flush/reload cycle.
  */
 #include <atomic>
 #include <chrono>
@@ -374,69 +373,6 @@ TEST(ServiceEngine, StaleResultCacheVersionIsRejected)
     EXPECT_EQ(engine.stats().cache_entries, 0u);
     EXPECT_FALSE(engine.submit(request).cache_hit);
     std::remove(path.c_str());
-}
-
-TEST(ServiceEngine, CampaignDiskCacheServesStandardConfigurations)
-{
-    CampaignOptions campaign;
-    campaign.workloads = 2;
-    campaign.instructions = 20'000;
-    campaign.cache_dir = ::testing::TempDir();
-    campaign.use_cache = true;
-    const CampaignResult reference = runStandardCampaign(campaign);
-    ASSERT_EQ(reference.workloads.size(), 2u);
-
-    EngineOptions options;
-    options.workers = 1;
-    options.use_campaign_cache = true;
-    options.campaign = campaign;
-    SimulationEngine engine(options);
-
-    // Conservative baseline (base mode, FTQ=2) out of the disk cache.
-    SimRequest cons = smallRequest(reference.workloads[0].name, 2,
-                                   campaign.instructions);
-    SubmitOutcome outcome = engine.submit(cons);
-    ASSERT_EQ(outcome.status, SubmitStatus::kOk);
-    EXPECT_TRUE(outcome.disk_hit);
-    EXPECT_EQ(diffSimResults(*outcome.result,
-                             reference.workloads[0].cons),
-              "");
-
-    // Industry baseline (FTQ=24) and the no-overhead AsmDB variant.
-    SimRequest industry = smallRequest(reference.workloads[1].name, 24,
-                                       campaign.instructions);
-    outcome = engine.submit(industry);
-    ASSERT_EQ(outcome.status, SubmitStatus::kOk);
-    EXPECT_TRUE(outcome.disk_hit);
-    EXPECT_EQ(diffSimResults(*outcome.result,
-                             reference.workloads[1].industry),
-              "");
-
-    SimRequest ideal = smallRequest(reference.workloads[0].name, 24,
-                                    campaign.instructions);
-    ideal.mode = SimMode::kNoOverhead;
-    outcome = engine.submit(ideal);
-    ASSERT_EQ(outcome.status, SubmitStatus::kOk);
-    EXPECT_TRUE(outcome.disk_hit);
-    EXPECT_EQ(diffSimResults(*outcome.result,
-                             reference.workloads[0].asmdb_ind_ideal),
-              "");
-
-    // A disk hit is promoted into the LRU: the repeat is a memory hit.
-    outcome = engine.submit(cons);
-    ASSERT_EQ(outcome.status, SubmitStatus::kOk);
-    EXPECT_TRUE(outcome.cache_hit);
-
-    // Nothing above ran a simulation; a non-campaign knob still does.
-    EXPECT_EQ(engine.stats().sim_runs, 0u);
-    SimRequest off_campaign = smallRequest(reference.workloads[0].name,
-                                           8, campaign.instructions);
-    outcome = engine.submit(off_campaign);
-    ASSERT_EQ(outcome.status, SubmitStatus::kOk);
-    EXPECT_FALSE(outcome.disk_hit);
-    EXPECT_EQ(engine.stats().sim_runs, 1u);
-
-    std::remove(campaignCachePath(campaign).c_str());
 }
 
 TEST(ServiceEngine, LatencyMetricsAccumulate)

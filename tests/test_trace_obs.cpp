@@ -21,9 +21,9 @@
 
 #include <gtest/gtest.h>
 
-#include "core/experiment.hpp"
 #include "core/json_io.hpp"
 #include "core/result_compare.hpp"
+#include "core/result_text.hpp"
 #include "core/simulator.hpp"
 #include "core/trace_export.hpp"
 #include "frontend/scenario_timeline.hpp"

@@ -21,10 +21,10 @@
 #include <string>
 #include <vector>
 
-#include "core/experiment.hpp"
 #include "core/json_io.hpp"
 #include "core/options.hpp"
 #include "core/report.hpp"
+#include "core/result_text.hpp"
 #include "core/trace_export.hpp"
 #include "service/engine.hpp"
 #include "service/request.hpp"

@@ -2,10 +2,9 @@
  * @file
  * The resident simulation service daemon: accepts JSON simulation
  * requests over loopback HTTP, coalesces duplicates, caches results in
- * memory (optionally warm-started from / flushed to a cache file and
- * layered over the campaign disk cache), and exposes /healthz and
- * /metrics. SIGINT/SIGTERM drain in-flight requests, flush the result
- * cache, and exit 0.
+ * memory (optionally warm-started from / flushed to a cache file), and
+ * exposes /healthz and /metrics. SIGINT/SIGTERM drain in-flight
+ * requests, flush the result cache, and exit 0.
  *
  * Asynchronous campaign jobs (POST /jobs and friends) execute sweeps
  * through the same engine; job records checkpoint to --jobs-dir so a
@@ -14,8 +13,8 @@
  *
  * Usage:
  *   sipre_served [--port N] [--workers N] [--queue N] [--cache N]
- *                [--cache-file PATH] [--campaign-cache DIR]
- *                [--conn-threads N] [--jobs-dir DIR] [--max-jobs N]
+ *                [--cache-file PATH] [--conn-threads N]
+ *                [--jobs-dir DIR] [--max-jobs N]
  *                [--job-workers N] [--read-timeout-ms N]
  *                [--write-timeout-ms N] [--idle-timeout-ms N]
  *                [--faults SPEC] [--trace] [--trace-buffer N]
@@ -78,8 +77,6 @@ usage(const char *argv0, int exit_code)
         "256)\n"
         "  --cache-file PATH    warm-start the result cache from PATH and\n"
         "                       flush it back on graceful shutdown\n"
-        "  --campaign-cache DIR answer standard-campaign configurations\n"
-        "                       from DIR's campaign cache file\n"
         "  --conn-threads N     HTTP connection threads (default 4)\n"
         "  --jobs-dir DIR       persistent job records (default "
         "sipre_jobs;\n"
@@ -177,10 +174,6 @@ main(int argc, char **argv)
             engine_options.cache_capacity = num(~std::uint64_t{0});
         } else if (arg == "--cache-file") {
             cache_file = next();
-        } else if (arg == "--campaign-cache") {
-            engine_options.use_campaign_cache = true;
-            engine_options.campaign = CampaignOptions::fromEnv();
-            engine_options.campaign.cache_dir = next();
         } else if (arg == "--conn-threads") {
             server_options.connection_threads =
                 static_cast<unsigned>(num(1024));
@@ -392,12 +385,10 @@ main(int argc, char **argv)
     const EngineStats stats = engine.stats();
     std::fprintf(stderr,
                  "[sipre_served] served %llu requests (%llu simulated, "
-                 "%llu cache hits, %llu disk hits, %llu coalesced, %llu "
-                 "rejected)\n",
+                 "%llu cache hits, %llu coalesced, %llu rejected)\n",
                  static_cast<unsigned long long>(stats.requests),
                  static_cast<unsigned long long>(stats.sim_runs),
                  static_cast<unsigned long long>(stats.cache_hits),
-                 static_cast<unsigned long long>(stats.disk_hits),
                  static_cast<unsigned long long>(stats.coalesced),
                  static_cast<unsigned long long>(stats.rejected));
     const jobs::JobManagerStats job_stats = job_manager.stats();
